@@ -20,9 +20,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad_vec
-from scipy.linalg import expm
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import expm_multiply
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
 from . import risk as risk_mod
@@ -155,36 +153,42 @@ class TwoModeState:
 # two-mode generators and their evolution
 
 
+def _ladder_evolve(offdiag: np.ndarray, r: float, cols) -> np.ndarray:
+    """Columns `cols` of exp(r G) for the real antisymmetric tridiagonal G
+    with G[j+1, j] = offdiag[j] = -G[j, j+1].
+
+    With D = diag(i^j), D^-1 G D = -i T where T is symmetric tridiagonal
+    with zero diagonal and off-diagonal `offdiag`.  Writing T = V diag(lam)
+    V^T gives exp(r G) = D V exp(-i r lam) V^T D^-1 exactly; entry (m, t)
+    is the cosine sum when m - t is even and the sine sum when it is odd,
+    signed by i^(m - t).  At r = 0 the result is exactly I[:, cols].
+    """
+    length = len(offdiag) + 1
+    cols = np.asarray(cols)
+    if r == 0.0:
+        return np.eye(length)[:, cols]
+    lam, vec = eigh_tridiagonal(np.zeros(length), offdiag)
+    right = vec[cols].T
+    cos_part = vec @ (np.cos(r * lam)[:, None] * right)
+    sin_part = vec @ (np.sin(r * lam)[:, None] * right)
+    shift = (np.arange(length)[:, None] - cols[None, :]) % 4
+    sign = np.where(shift < 2, 1.0, -1.0)
+    return sign * np.where(shift % 2 == 0, cos_part, sin_part)
+
+
 @lru_cache(maxsize=2048)
 def _bs_block(theta: float, total: int) -> np.ndarray:
     """Beamsplitter unitary on the conserved-total block span{|total-j, j>}.
 
-    The generator theta (a^dag b - a b^dag) is real antisymmetric on the
-    block, so the exponential is exactly orthogonal.  Cached; callers
-    must treat the returned array as read-only.
+    The generator theta (a^dag b - a b^dag) is real antisymmetric and
+    tridiagonal on the block (a b^dag |total-j, j> = sqrt((total-j)(j+1))
+    |total-j-1, j+1>), so `_ladder_evolve` exponentiates it exactly and the
+    block is orthogonal to rounding.  Cached; callers must treat the
+    returned array as read-only.
     """
-    size = total + 1
-    gen = np.zeros((size, size))
-    for j in range(size):
-        if j >= 1:
-            # a^dag b : |total-j, j> -> sqrt((total-j+1) j) |total-j+1, j-1>
-            gen[j - 1, j] += math.sqrt((total - j + 1) * j)
-        if j + 1 < size:
-            # -a b^dag : -> -sqrt((total-j)(j+1)) |total-j-1, j+1>
-            gen[j + 1, j] -= math.sqrt((total - j) * (j + 1))
-    return expm(theta * gen)
-
-
-def _tms_generator(a0: int, b0: int, length: int) -> csr_matrix:
-    """Two-mode-squeezer generator on the ladder span{|a0+j, b0+j>}."""
-    up = np.array(
-        [math.sqrt((a0 + j + 1) * (b0 + j + 1)) for j in range(length - 1)]
-    )
-    down = -up
-    rows = np.concatenate([np.arange(1, length), np.arange(0, length - 1)])
-    cols = np.concatenate([np.arange(0, length - 1), np.arange(1, length)])
-    vals = np.concatenate([up, down])
-    return csr_matrix((vals, (rows, cols)), shape=(length, length))
+    j = np.arange(total)
+    offdiag = -np.sqrt((total - j) * (j + 1.0))
+    return _ladder_evolve(offdiag, theta, np.arange(total + 1))
 
 
 def _tms_columns(
@@ -192,7 +196,9 @@ def _tms_columns(
 ) -> np.ndarray:
     """Evolved squeezer columns |a0+t, b0+t> -> ladder amplitudes.
 
-    The ladder is extended until the mass near the truncation edge is
+    The generator on the ladder span{|a0+j, b0+j>} is real antisymmetric
+    tridiagonal and is exponentiated exactly by `_ladder_evolve`.  The
+    ladder is extended until the mass near the truncation edge is
     certifiably negligible, so the returned amplitudes agree with the
     untruncated evolution.  Raises if the cap is hit.
     """
@@ -203,18 +209,9 @@ def _tms_columns(
         int(gain * (a0 + b0 + t_max + 1) + 12.0 * math.sqrt(gain * (a0 + b0 + t_max + 1)) + 150),
     )
     for _ in range(8):
-        gen = _tms_generator(a0, b0, length)
-        basis = np.zeros((length, len(col_indices)))
-        for i, t in enumerate(col_indices):
-            basis[t, i] = 1.0
-        # expm_multiply estimates operator norms with random probes from
-        # the global numpy RNG; pin that state so outputs are bit-stable.
-        rng_state = np.random.get_state()
-        np.random.seed(1400305337)
-        try:
-            cols = expm_multiply(r * gen, basis)
-        finally:
-            np.random.set_state(rng_state)
+        j = np.arange(length - 1)
+        offdiag = np.sqrt((a0 + j + 1.0) * (b0 + j + 1.0))
+        cols = _ladder_evolve(offdiag, r, col_indices)
         edge = float(np.sum(cols[-_EDGE_ROWS:, :] ** 2))
         if edge <= _EDGE_MASS:
             return cols

@@ -64,6 +64,12 @@ def _check_thermal(name: str, s: float) -> float:
     return float(s)
 
 
+def _check_positive(name: str, x: float) -> None:
+    # written so that NaN fails too: NaN <= 0.0 is False
+    if not (math.isfinite(x) and x > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {x}")
+
+
 def geometric_l1(sa: float, sb: float) -> tuple[float, int]:
     """L1 distance between the geometric laws (1 - s) s^n for s = sa, sb.
 
@@ -299,14 +305,13 @@ class QubitScenario:
     def __post_init__(self):
         if not 0.0 < self.r0_norm < 1.0:
             raise ValueError("r0_norm must lie in (0, 1)")
-        if self.lam <= 0.0:
-            raise ValueError("lam must be positive")
+        _check_positive("lam", self.lam)
         if self.lam * self.r0_norm > 1.0:
             raise ValueError("output Bloch length lam * r0_norm exceeds 1")
-        if self.k is not None and self.k <= 0.0:
-            raise ValueError("k must be positive")
-        if self.rate is not None and self.rate <= 0.0:
-            raise ValueError("rate must be positive")
+        if self.k is not None:
+            _check_positive("k", self.k)
+        if self.rate is not None:
+            _check_positive("rate", self.rate)
         if self.k is not None and self.rate is not None:
             implied = self.k * self.k / (self.lam * self.lam)
             if abs(self.rate - implied) > 1e-9 * max(1.0, abs(implied)):
@@ -370,10 +375,9 @@ class GaussianProblem:
     def __post_init__(self):
         _check_thermal("s1", self.s1)
         _check_thermal("s2", self.s2)
-        if self.V1 <= 0.0 or self.V2 <= 0.0:
-            raise ValueError("variances must be positive")
-        if self.k <= 0.0:
-            raise ValueError("k must be positive")
+        _check_positive("V1", self.V1)
+        _check_positive("V2", self.V2)
+        _check_positive("k", self.k)
 
     @classmethod
     def from_qubit(cls, scenario: QubitScenario) -> "GaussianProblem":

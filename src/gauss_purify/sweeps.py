@@ -269,8 +269,10 @@ FIGURE_TARGETS = {
 def run_sweep(config: SweepConfig) -> str:
     """Execute a sweep and write its CSV; returns the output path.
 
-    Rows with a domain violation are emitted as nan and counted in the
-    `# warnings:` metadata line rather than aborting the sweep.
+    Rows with a domain violation (ValueError) or a non-converged risk
+    (RuntimeError, such as the case-4 term cap) are emitted as nan and
+    counted in the `# warnings:` metadata line rather than aborting the
+    sweep.
     """
     if config.target not in FIGURE_TARGETS:
         raise ValueError(f"unknown sweep target {config.target!r}")
@@ -279,7 +281,7 @@ def run_sweep(config: SweepConfig) -> str:
     def safe_row(point) -> list:
         try:
             return plan.row_fn(point)
-        except ValueError:
+        except (ValueError, RuntimeError):
             vals = point if isinstance(point, tuple) else (point,)
             pad = len(plan.header) - len(vals)
             return list(vals) + [float("nan")] * pad

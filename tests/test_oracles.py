@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from gauss_purify.channels import (
     AMPLIFY,
@@ -32,7 +33,13 @@ from gauss_purify.oracles import (
     verify_covariance,
     verify_noise_topup,
 )
-from gauss_purify.oracles import _check_threshold_exactness, _jsonable, _report
+from gauss_purify.oracles import (
+    _bs_block,
+    _check_threshold_exactness,
+    _jsonable,
+    _report,
+    _tms_columns,
+)
 from gauss_purify import risk as risk_mod
 from gauss_purify.risk import case4_risk, quantum_minimax_risk
 
@@ -61,6 +68,54 @@ def test_simulated_amplifier_vacuum_closure():
     sim = simulate_channel(AMPLIFY, math.sqrt(2.0), vacuum_state(), AncillaCandidate.vacuum(), 150)
     want = thermal_state(0.5, 150).probs
     assert np.max(np.abs(sim.probs - want)) < 1e-13
+
+
+def _antisymmetric_tridiagonal(sub: np.ndarray) -> np.ndarray:
+    """Dense G with G[j+1, j] = sub[j] = -G[j, j+1]."""
+    return np.diag(sub, -1) - np.diag(sub, 1)
+
+
+@pytest.mark.parametrize(
+    "a0, b0, k, idx",
+    [(0, 0, 1.3, [0]), (4, 0, 1.6, [0, 2, 5]), (0, 3, 2.0, [0, 1, 2, 3]), (9, 0, 1.1, [1])],
+)
+def test_squeezer_columns_match_dense_expm(a0, b0, k, idx):
+    r = math.acosh(k)
+    cols = _tms_columns(r, a0, b0, idx, min_length=40)
+    # a^dag b^dag |a0+j, b0+j> = sqrt((a0+j+1)(b0+j+1)) |a0+j+1, b0+j+1>
+    j = np.arange(cols.shape[0] - 1)
+    gen = _antisymmetric_tridiagonal(np.sqrt((a0 + j + 1.0) * (b0 + j + 1.0)))
+    want = expm(r * gen)[:, idx]
+    assert np.max(np.abs(cols - want)) <= 1e-12
+    assert np.max(np.abs(cols.T @ cols - np.eye(len(idx)))) <= 1e-13
+
+
+@pytest.mark.parametrize("total", [0, 1, 5, 30])
+def test_beamsplitter_block_matches_dense_expm(total):
+    theta = math.acos(0.6)
+    # a b^dag |total-j, j> = sqrt((total-j)(j+1)) |total-j-1, j+1>
+    j = np.arange(total)
+    gen = -_antisymmetric_tridiagonal(np.sqrt((total - j) * (j + 1.0)))
+    block = _bs_block(theta, total)
+    assert np.max(np.abs(block - expm(theta * gen))) <= 1e-12
+    assert np.max(np.abs(block.T @ block - np.eye(total + 1))) <= 1e-13
+
+
+def test_ladders_are_exact_identity_at_zero():
+    assert np.array_equal(_bs_block(0.0, 7), np.eye(8))
+    cols = _tms_columns(0.0, 2, 0, [0, 3], min_length=20)
+    assert np.array_equal(cols, np.eye(cols.shape[0])[:, [0, 3]])
+
+
+def test_amplifier_simulation_leaves_global_rng_alone(monkeypatch):
+    def seed(*args, **kwargs):
+        raise AssertionError("the global numpy RNG was reseeded")
+
+    monkeypatch.setattr(np.random, "seed", seed)
+    src = thermal_state(0.4, 10)
+    sim = simulate_channel(AMPLIFY, 1.3, src, AncillaCandidate.vacuum(), 40)
+    ker = amplify_kernel(1.3, src, out_cutoff=40)
+    assert np.max(np.abs(sim.probs - ker.probs)) < 1e-12
 
 
 def test_fock_ancilla_changes_output():

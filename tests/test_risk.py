@@ -219,6 +219,32 @@ def test_qubit_scenario_validation():
     assert abs(sc.k_value - 1.0) < 1e-15
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name", ["V1", "V2", "k"])
+def test_gaussian_problem_rejects_nonfinite_or_nonpositive(name, bad):
+    params = dict(s1=0.5, s2=0.3, V1=1.0, V2=1.0, k=1.5)
+    params[name] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+        GaussianProblem(**params)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name", ["lam", "k", "rate"])
+def test_qubit_scenario_rejects_nonfinite_or_nonpositive(name, bad):
+    params = dict(r0_norm=0.5, lam=0.5)
+    params[name] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+        QubitScenario(**params)
+
+
+def test_nan_reproducers_raise_value_error():
+    # NaN used to reach the quadrature (V2) or come back as a nan rate (lam)
+    with pytest.raises(ValueError, match="^V2 "):
+        gaussian_risk(GaussianProblem(0.5, 0.3, 1.0, math.nan, 1.5))
+    with pytest.raises(ValueError, match="^lam "):
+        optimal_rate(QubitScenario(0.5, math.nan))
+
+
 def test_qubit_thresholds_worked_values():
     kq, kc, lt = qubit_thresholds(QubitScenario(1.0 / 3.0, 2.4))
     assert abs(kq - 0.3535533905932738) < 1e-15

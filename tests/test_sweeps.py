@@ -7,6 +7,7 @@ closed forms they are supposed to tabulate.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -110,3 +111,27 @@ def test_unknown_target_rejected(tmp_path):
     with pytest.raises(ValueError):
         run_sweep(SweepConfig("fig9", str(tmp_path / "x.csv")))
     assert "fig9" not in FIGURE_TARGETS
+
+
+def test_runtime_error_row_becomes_counted_nan(tmp_path, monkeypatch):
+    # a non-converged risk (e.g. the case-4 term cap) must not abort the sweep
+    plan_fig2a = FIGURE_TARGETS["fig2a"]
+
+    def failing_plan(cfg):
+        plan = plan_fig2a(cfg)
+
+        def row(k):
+            if k > 0.7:
+                raise RuntimeError("term cap reached")
+            return plan.row_fn(k)
+
+        return dataclasses.replace(plan, row_fn=row)
+
+    monkeypatch.setitem(FIGURE_TARGETS, "fig2a", failing_plan)
+    out = tmp_path / "fig2a.csv"
+    run_sweep(SweepConfig("fig2a", str(out), ranges={"k": (0.2, 1.0, 5)}))
+    meta, header, rows = _load(out)
+    assert meta["warnings"] == "2"
+    assert [r["k"] for r in rows] == ["0.2", "0.4", "0.6", "0.8", "1"]
+    assert [r["risk"] == "nan" for r in rows] == [False, False, False, True, True]
+    assert [r["s_tilde"] == "nan" for r in rows] == [False, False, False, True, True]
