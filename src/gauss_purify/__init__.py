@@ -21,13 +21,11 @@ from .fock import (
 from .channels import (
     AMPLIFY,
     ATTENUATE,
-    ChannelKernel,
     ClassicalGaussian,
     amplify_kernel,
     ancilla_fock_kernel,
     ancilla_mixture_kernel,
     attenuate_kernel,
-    build_kernel,
     channel_s_tilde,
     classical_channel,
     gain_matrix,
@@ -48,6 +46,7 @@ from .risk import (
     quantum_minimax_risk,
     quantum_threshold,
     qubit_thresholds,
+    rate_branch,
     s_tilde,
 )
 
@@ -70,9 +69,7 @@ __all__ = [
     "ATTENUATE",
     "AMPLIFY",
     "normalize_kind",
-    "ChannelKernel",
     "ClassicalGaussian",
-    "build_kernel",
     "thinning_matrix",
     "gain_matrix",
     "attenuate_kernel",
@@ -95,5 +92,6 @@ __all__ = [
     "case4_risk",
     "combined_risk",
     "qubit_thresholds",
+    "rate_branch",
     "optimal_rate",
 ]

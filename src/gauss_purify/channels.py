@@ -22,15 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .fock import DiagonalFockState
+from .fock import DiagonalFockState, _check_positive, _check_thermal
 
 __all__ = [
     "ATTENUATE",
     "AMPLIFY",
     "normalize_kind",
-    "ChannelKernel",
     "ClassicalGaussian",
-    "build_kernel",
     "thinning_matrix",
     "gain_matrix",
     "attenuate_kernel",
@@ -72,29 +70,6 @@ class ClassicalGaussian:
             raise ValueError("variance must be nonnegative")
 
 
-@dataclass(frozen=True)
-class ChannelKernel:
-    """Materialized transition kernel P(m | n) of a number-diagonal channel.
-
-    matrix[m, n] is the probability that input |n> produces output |m>.
-    Columns are stochastic up to the certified column truncation, which
-    column_tails() measures directly from the column sums.
-    """
-
-    kind: str
-    k: float
-    matrix: np.ndarray
-    in_cutoff: int
-    out_cutoff: int
-    ancilla_fock: int = 0
-
-    def apply(self, probs: np.ndarray) -> np.ndarray:
-        return self.matrix @ probs
-
-    def column_tails(self) -> np.ndarray:
-        return 1.0 - self.matrix.sum(axis=0)
-
-
 def _check_att_k(k: float) -> float:
     k = float(k)
     if not 0.0 < k < 1.0:
@@ -115,10 +90,8 @@ def channel_s_tilde(kind: str, s1: float, k: float) -> float:
     s~_att = s1 k^2 / (1 - s1 + s1 k^2) and s~_amp = 1 - (1 - s1) / k^2.
     """
     kind = normalize_kind(kind)
-    if not 0.0 <= s1 < 1.0:
-        raise ValueError(f"thermal parameter must lie in [0, 1), got {s1}")
-    if k <= 0.0:
-        raise ValueError("k must be positive")
+    _check_thermal("s1", s1)
+    _check_positive("k", k)
     if kind == ATTENUATE:
         return s1 * k * k / (1.0 - s1 + s1 * k * k)
     return 1.0 - (1.0 - s1) / (k * k)
@@ -170,18 +143,6 @@ def gain_matrix(k: float, in_cutoff: int, out_cutoff: int) -> np.ndarray:
     return _gain_log_columns(k, np.arange(in_cutoff + 1), out_cutoff)
 
 
-def build_kernel(
-    kind: str, k: float, in_cutoff: int, out_cutoff: int | None = None
-) -> ChannelKernel:
-    """Materialize the vacuum-ancilla channel kernel as a ChannelKernel."""
-    kind = normalize_kind(kind)
-    if kind == ATTENUATE:
-        out = in_cutoff if out_cutoff is None else out_cutoff
-        return ChannelKernel(kind, float(k), thinning_matrix(k, in_cutoff)[: out + 1], in_cutoff, out)
-    out = _auto_out_cutoff(k, in_cutoff, 1e-14) if out_cutoff is None else out_cutoff
-    return ChannelKernel(kind, float(k), gain_matrix(k, in_cutoff, out), in_cutoff, out)
-
-
 def _stream_apply(column_fn, probs: np.ndarray, out_cutoff: int) -> np.ndarray:
     """Accumulate kernel @ probs in column chunks to bound memory."""
     out = np.zeros(out_cutoff + 1)
@@ -203,7 +164,7 @@ def attenuate_kernel(k: float, state: DiagonalFockState) -> DiagonalFockState:
         out = thinning_matrix(k, n_in) @ state.probs
     else:
         out = _stream_apply(lambda nv, oc: _thinning_log_columns(k, nv, oc), state.probs, n_in)
-    return DiagonalFockState(out, n_in, state.tail_bound, state.tail_warning)
+    return DiagonalFockState(out, n_in, state.tail_bound)
 
 
 def _auto_out_cutoff(k: float, in_cutoff: int, tail_target: float) -> int:
@@ -249,8 +210,7 @@ def amplify_kernel(
         raise RuntimeError(
             f"amplifier cutoff enlargement insufficient: residual {kernel_loss:.3e}"
         )
-    tail = state.tail_bound + kernel_loss
-    return DiagonalFockState(out, out_cutoff, tail, tail_warning=tail > 0.5)
+    return DiagonalFockState(out, out_cutoff, state.tail_bound + kernel_loss)
 
 
 def ancilla_fock_kernel(
@@ -296,8 +256,7 @@ def ancilla_fock_kernel(
             )
             weights = np.exp(logw)
         probs[shift : shift + lmax + 1] = weights
-    tail = max(1.0 - float(probs.sum()), 0.0)
-    return DiagonalFockState(probs, cutoff, tail, tail_warning=tail > 0.5)
+    return DiagonalFockState(probs, cutoff, max(1.0 - float(probs.sum()), 0.0))
 
 
 def ancilla_mixture_kernel(
@@ -323,7 +282,7 @@ def ancilla_mixture_kernel(
     for w, part in zip(weights, parts):
         probs[: part.cutoff + 1] += w * part.probs
         tail += w * part.tail_bound
-    return DiagonalFockState(probs, cut, tail, tail_warning=tail > 0.5)
+    return DiagonalFockState(probs, cut, tail)
 
 
 def gaussian_noise_topup(s_tilde: float, s2: float) -> float:
@@ -333,9 +292,8 @@ def gaussian_noise_topup(s_tilde: float, s2: float) -> float:
     Gaussian displacements with E|alpha|^2 = v convolve the P-function
     of thermal(s~) up to that of thermal(s2).  Requires s~ <= s2.
     """
-    for name, s in (("s_tilde", s_tilde), ("s2", s2)):
-        if not 0.0 <= s < 1.0:
-            raise ValueError(f"{name} must lie in [0, 1), got {s}")
+    _check_thermal("s_tilde", s_tilde)
+    _check_thermal("s2", s2)
     if s_tilde > s2:
         raise ValueError("no noise top-up exists for s_tilde > s2")
     return s2 / (1.0 - s2) - s_tilde / (1.0 - s_tilde)
@@ -350,10 +308,9 @@ def classical_channel(
     Z ~ N(0, V2 - k^2 V1) reaches the target variance exactly; above it
     the optimal choice is Z = 0 and the variance stays k^2 Var(X).
     """
-    if V1 <= 0.0 or V2 <= 0.0:
-        raise ValueError("variances must be positive")
-    if k <= 0.0:
-        raise ValueError("k must be positive")
+    _check_positive("V1", V1)
+    _check_positive("V2", V2)
+    _check_positive("k", k)
     k0c = math.sqrt(V2 / V1)
     if k <= k0c:
         return ClassicalGaussian(k * x.mean, k * k * x.variance + (V2 - k * k * V1))

@@ -16,7 +16,7 @@ factorials so that high orders neither overflow nor lose the phase.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -39,9 +39,17 @@ __all__ = [
 # all >= 1e-12 so 1e-12 of slack here never masks a real defect.
 _NORM_SLACK = 1e-12
 
-# A truncation that drops more than half the mass is almost certainly a
-# user error; flag it instead of failing so exploratory calls still work.
-_HEAVY_TAIL = 0.5
+
+def _check_thermal(name: str, s: float) -> float:
+    # written so that NaN fails too: every comparison with NaN is False
+    if not 0.0 <= s < 1.0:
+        raise ValueError(f"{name} must lie in [0, 1), got {s}")
+    return float(s)
+
+
+def _check_positive(name: str, x: float) -> None:
+    if not (math.isfinite(x) and x > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {x}")
 
 
 @dataclass(frozen=True)
@@ -59,14 +67,11 @@ class DiagonalFockState:
         Certified upper bound on the probability mass not represented in
         ``probs``.  For a thermal state with parameter s this equals
         s**(N+1) exactly; channel outputs carry the propagated bound.
-    tail_warning : bool
-        Set when the truncation discards more than half the mass.
     """
 
     probs: np.ndarray
     cutoff: int
     tail_bound: float
-    tail_warning: bool = field(default=False)
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
@@ -129,13 +134,6 @@ class L1Distance(NamedTuple):
         return self.value + self.truncation
 
 
-def _check_thermal_param(s: float) -> float:
-    s = float(s)
-    if not 0.0 <= s < 1.0:
-        raise ValueError(f"thermal parameter must lie in [0, 1), got {s}")
-    return s
-
-
 def thermal_state(s: float, cutoff: int) -> DiagonalFockState:
     """Thermal (geometric) photon-number distribution.
 
@@ -152,7 +150,7 @@ def thermal_state(s: float, cutoff: int) -> DiagonalFockState:
     DiagonalFockState
         probs[n] = (1 - s) s**n for n <= cutoff, tail_bound = s**(cutoff+1).
     """
-    s = _check_thermal_param(s)
+    s = _check_thermal("s", s)
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     n = np.arange(cutoff + 1)
@@ -163,7 +161,7 @@ def thermal_state(s: float, cutoff: int) -> DiagonalFockState:
     else:
         probs = (1.0 - s) * s ** n
         tail = s ** (cutoff + 1)
-    return DiagonalFockState(probs, cutoff, tail, tail_warning=tail > _HEAVY_TAIL)
+    return DiagonalFockState(probs, cutoff, tail)
 
 
 def vacuum_state(cutoff: int = 0) -> DiagonalFockState:
@@ -187,9 +185,7 @@ def number_state(n: int, cutoff: int | None = None) -> DiagonalFockState:
 def from_probs(probs, tail_bound: float = 0.0) -> DiagonalFockState:
     """Wrap a raw probability vector, validating the state invariants."""
     probs = np.asarray(probs, dtype=float)
-    return DiagonalFockState(
-        probs, probs.size - 1, float(tail_bound), tail_warning=tail_bound > _HEAVY_TAIL
-    )
+    return DiagonalFockState(probs, probs.size - 1, float(tail_bound))
 
 
 def mean_photon(state: DiagonalFockState) -> float:

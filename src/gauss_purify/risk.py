@@ -5,9 +5,11 @@ rho(alpha, s1) into rho(k alpha, s2).  It is exactly solvable iff the
 rescaled thermal parameter s~ stays at or below s2, which pins down a
 threshold k0 for the quantum problem and k0c = sqrt(V2/V1) for the
 matching classical Gaussian shift problem.  Above threshold the minimax
-risk (worst-case L1 distance to the target) has closed forms; when both
-thresholds are exceeded the two contributions couple and the risk is a
-numerically evaluated product-law L1 distance.
+risk (worst-case L1 distance to the target) has closed forms.  When both
+thresholds are exceeded the two contributions couple into a product-law
+L1 distance: a series over photon numbers whose terms are normal-CDF
+differences at the density crossover, truncated once the geometric
+tails certify the remainder.
 
 Qubit purification and dilution enter through a local Gaussian
 approximation of displaced spin ensembles: Bloch length r maps to
@@ -19,12 +21,15 @@ with zero risk then yields the optimal copy-number rate k0^2 / lam^2.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
-from scipy.integrate import quad
+import numpy as np
+from scipy.special import erf, erfc, xlogy
 
 from .channels import AMPLIFY, ATTENUATE, channel_s_tilde, normalize_kind
+from .fock import _check_positive, _check_thermal
 
 __all__ = [
     "GaussianProblem",
@@ -41,33 +46,25 @@ __all__ = [
     "gaussian_risk",
     "combined_risk",
     "qubit_thresholds",
+    "rate_branch",
     "optimal_rate",
 ]
 
 _SQRT2 = math.sqrt(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-# Half-width of the quadrature window in units of the larger standard
-# deviation; the omitted Gaussian mass at 8 sigma is below 1.3e-15.
-_TAIL_SIGMAS = 8.0
-_MAX_TERMS = 200_000
+# Case-4 series terms are evaluated this many at a time, which bounds
+# memory when s~ near 1 needs millions of terms.
+_BLOCK = 1 << 16
+
+# Past the index where the lighter photon-number weight drops below
+# 2^-60 of the heavier one, each case-4 term equals A_n + B_n to within
+# rounding, so the rest of the series sums in closed form.
+_LOG_NEGLIGIBLE = -60.0 * math.log(2.0)
 
 
 def _phi(x: float) -> float:
     """Standard normal CDF."""
     return 0.5 * (1.0 + math.erf(x / _SQRT2))
-
-
-def _check_thermal(name: str, s: float) -> float:
-    if not 0.0 <= s < 1.0:
-        raise ValueError(f"{name} must lie in [0, 1), got {s}")
-    return float(s)
-
-
-def _check_positive(name: str, x: float) -> None:
-    # written so that NaN fails too: NaN <= 0.0 is False
-    if not (math.isfinite(x) and x > 0.0):
-        raise ValueError(f"{name} must be finite and positive, got {x}")
 
 
 def geometric_l1(sa: float, sb: float) -> tuple[float, int]:
@@ -101,8 +98,8 @@ def geometric_l1(sa: float, sb: float) -> tuple[float, int]:
 
 def gaussian_l1(var_a: float, var_b: float) -> float:
     """L1 distance between centered normals N(0, var_a) and N(0, var_b)."""
-    if var_a <= 0.0 or var_b <= 0.0:
-        raise ValueError("variances must be positive")
+    _check_positive("var_a", var_a)
+    _check_positive("var_b", var_b)
     if var_a == var_b:
         return 0.0
     hi, lo = (var_a, var_b) if var_a > var_b else (var_b, var_a)
@@ -135,8 +132,8 @@ def quantum_threshold(kind: str, s1: float, s2: float) -> float:
 
 def classical_threshold(V1: float, V2: float) -> float:
     """Largest k with an exact classical rescaling N(u, V1) -> N(k u, V2)."""
-    if V1 <= 0.0 or V2 <= 0.0:
-        raise ValueError("variances must be positive")
+    _check_positive("V1", V1)
+    _check_positive("V2", V2)
     return math.sqrt(V2 / V1)
 
 
@@ -180,47 +177,26 @@ def classical_minimax_risk(V1: float, V2: float, k: float) -> float:
     Zero for k <= sqrt(V2/V1); otherwise the L1 distance between
     N(0, k^2 V1) and N(0, V2).
     """
-    if k <= 0.0:
-        raise ValueError("k must be positive")
+    _check_positive("k", k)
     if k <= classical_threshold(V1, V2):
         return 0.0
     return gaussian_l1(k * k * V1, V2)
 
 
-def _abs_diff_quad(
-    c1: float, sig1: float, c2: float, sig2: float, L: float, epsabs: float
-) -> tuple[float, float]:
-    """Adaptive quadrature of |c1 N(0,sig1^2) - c2 N(0,sig2^2)| over the line.
+def _last_term(s_t: float, s2: float, tail_tol: float) -> int:
+    """First n with s_t^(n+1) + s2^(n+1) < tail_tol.
 
-    The integrand is even, so integrate [0, L] and double.  The density
-    crossover is handed to quad as a known kink.  Returns (value, error
-    estimate).
+    With hi = max(s_t, s2) the sum lies in [hi^(n+1), 2 hi^(n+1)], which
+    brackets n in closed form; bisecting the rule itself inside the
+    bracket gives the same n as a term-by-term scan.
     """
-    a1 = c1 / (_SQRT_2PI * sig1)
-    a2 = c2 / (_SQRT_2PI * sig2)
-    inv1 = 0.5 / (sig1 * sig1)
-    inv2 = 0.5 / (sig2 * sig2)
-
-    def f(x: float) -> float:
-        xx = x * x
-        return abs(a1 * math.exp(-inv1 * xx) - a2 * math.exp(-inv2 * xx))
-
-    points = None
-    if c1 > 0.0 and c2 > 0.0 and sig1 != sig2:
-        x2 = (
-            2.0
-            * sig1 * sig1 * sig2 * sig2
-            * math.log(c2 * sig1 / (c1 * sig2))
-            / (sig1 * sig1 - sig2 * sig2)
-        )
-        if x2 > 0.0:
-            xs = math.sqrt(x2)
-            if 0.0 < xs < L:
-                points = [xs]
-    # pin epsrel, else quad stops at its default relative criterion and
-    # reports ~1e-8 |I| error estimates that swamp the term budget
-    val, err = quad(f, 0.0, L, points=points, epsabs=0.5 * epsabs, epsrel=1e-12, limit=200)
-    return 2.0 * val, 2.0 * err
+    log_hi = math.log(max(s_t, s2))
+    lo = max(0, math.floor(math.log(tail_tol) / log_hi) - 2)
+    hi = max(lo, math.ceil(math.log(0.5 * tail_tol) / log_hi) + 1)
+    below = bisect_left(
+        range(lo, hi + 1), True, key=lambda n: s_t ** (n + 1) + s2 ** (n + 1) < tail_tol
+    )
+    return lo + below
 
 
 def case4_risk(
@@ -228,18 +204,22 @@ def case4_risk(
 ) -> float:
     """L1 distance between the joint laws when both thresholds are exceeded.
 
-    Computes integral dx sum_n |g1(x) (1-s_t) s_t^n - g2(x) (1-s2) s2^n|
-    with g1 = N(0, var1) and g2 = N(0, var2) densities, by adaptive
-    quadrature per photon number, stopping once the geometric tails
-    certify the remainder below abs_tol.  Raises RuntimeError with the
-    achieved tolerance if the error budget cannot be met.
+    Computes integral dx sum_n |A_n g1(x) - B_n g2(x)| with weights
+    A_n = (1-s_t) s_t^n, B_n = (1-s2) s2^n and g1 = N(0, var1),
+    g2 = N(0, var2) densities.  Each term is closed form: the densities
+    cross at |x| = x_n, and the term is |A_n erf - B_n erf| inside plus
+    |A_n erfc - B_n erfc| outside (|A_n - B_n| when they never cross).
+    The series stops at the first n whose summed geometric tails
+    s_t^(n+1) + s2^(n+1) fall below abs_tol / 4, which bounds the
+    dropped remainder.  Terms are evaluated in numpy blocks up to the
+    index where the lighter weight becomes negligible; the terms after
+    it sum to the weights' geometric tails in closed form.
     """
     _check_thermal("s_t", s_t)
     _check_thermal("s2", s2)
-    if var1 <= 0.0 or var2 <= 0.0:
-        raise ValueError("variances must be positive")
-    if abs_tol <= 0.0:
-        raise ValueError("abs_tol must be positive")
+    _check_positive("var1", var1)
+    _check_positive("var2", var2)
+    _check_positive("abs_tol", abs_tol)
     if var1 == var2:
         # common Gaussian factor integrates out term by term
         return geometric_l1(s_t, s2)[0]
@@ -247,43 +227,30 @@ def case4_risk(
         # common photon-number law factors out of the x integral
         return gaussian_l1(var1, var2)
 
+    last = _last_term(s_t, s2, 0.25 * abs_tol)
+    # lighter/heavier weight ratio is log-linear in n: offset + n * slope
+    s_lo, s_hi = min(s_t, s2), max(s_t, s2)
+    offset = math.log1p(-s_lo) - math.log1p(-s_hi)
+    slope = math.log(s_lo / s_hi) if s_lo > 0.0 else -math.inf
+    split = min(last + 1, max(0, math.floor((_LOG_NEGLIGIBLE - offset) / slope) + 1))
+
     sig1, sig2 = math.sqrt(var1), math.sqrt(var2)
-    L = _TAIL_SIGMAS * max(sig1, sig2)
-    flat_eps = abs_tol * 1e-4
-    achieved = math.inf
-    # a flat per-term budget can accumulate past abs_tol when s values
-    # near 1 need hundreds of terms; the retry shrinks each term's
-    # request in proportion to its mass (summed requests < abs_tol / 2)
-    for attempt in range(2):
-        total = 0.0
-        err_quad = 0.0
-        n = 0
-        while True:
-            A = (1.0 - s_t) * s_t**n
-            B = (1.0 - s2) * s2**n
-            eps_n = flat_eps
-            if attempt:
-                eps_n = min(flat_eps, max(0.25 * abs_tol * (A + B), 1e-15))
-            val, err = _abs_diff_quad(A, sig1, B, sig2, L, eps_n)
-            total += val
-            err_quad += err
-            # summed mass beyond n bounds the dropped terms
-            tail = s_t ** (n + 1) + s2 ** (n + 1)
-            if tail < 0.25 * abs_tol:
-                break
-            n += 1
-            if n > _MAX_TERMS:
-                raise RuntimeError(
-                    f"term cap reached at n={n}; achieved tolerance "
-                    f"{tail + err_quad:.3e} for requested {abs_tol:.3e}"
-                )
-        if err_quad + tail <= abs_tol:
-            return min(total, 2.0)
-        achieved = min(achieved, err_quad + tail)
-    raise RuntimeError(
-        f"quadrature non-convergence: achieved tolerance "
-        f"{achieved:.3e} exceeds requested {abs_tol:.3e}"
-    )
+    # x_n^2 = scale * (log(B_n / A_n) + log(sig1 / sig2))
+    scale = 2.0 * var1 * var2 / (var1 - var2)
+    total = 0.0
+    for start in range(0, split, _BLOCK):
+        n = np.arange(start, min(start + _BLOCK, split))
+        log_a = math.log1p(-s_t) + xlogy(n, s_t)
+        log_b = math.log1p(-s2) + xlogy(n, s2)
+        # no crossing (x_n^2 <= 0) clips to x = 0, where the term is |A - B|
+        x = np.sqrt(np.maximum(scale * (log_b - log_a + math.log(sig1 / sig2)), 0.0))
+        u1, u2 = x / (_SQRT2 * sig1), x / (_SQRT2 * sig2)
+        A, B = np.exp(log_a), np.exp(log_b)
+        terms = np.abs(A * erf(u1) - B * erf(u2)) + np.abs(A * erfc(u1) - B * erfc(u2))
+        total += float(terms.sum())
+    # terms split..last: sum of A_n + B_n
+    total += s_t**split - s_t ** (last + 1) + s2**split - s2 ** (last + 1)
+    return min(total, 2.0)
 
 
 @dataclass(frozen=True)
@@ -400,9 +367,10 @@ class RiskReport:
         thermal-law L1 distance.
     case 3: only the classical threshold exceeded; total equals the
         Gaussian L1 distance.
-    case 4: both exceeded; total is the joint product-law integral,
-        while classical_risk / quantum_risk record the standalone
-        marginal distances that bracket it.
+    case 4: both exceeded; total is the product-law L1 distance, a
+        closed-form series truncated within abs_tol (case4_risk), while
+        classical_risk / quantum_risk record the standalone marginal
+        distances that bracket it.
 
     m0 is the photon-number crossover of the thermal-law distance
     (None when the quantum part does not contribute); s_tilde is the
@@ -483,6 +451,21 @@ def qubit_thresholds(scenario: QubitScenario) -> tuple[float, float, float]:
     return kq, kc, scenario.lambda_tilde
 
 
+def rate_branch(scenario: QubitScenario) -> str:
+    """Which threshold governs the optimal rate of a qubit scenario.
+
+    "purification" (lam > 1), "identity" (lam = 1), "dilution_classical"
+    (lam < lambda_tilde) or "dilution_amp" (the remaining dilutions).
+    """
+    if scenario.lam > 1.0:
+        return "purification"
+    if scenario.lam == 1.0:
+        return "identity"
+    if scenario.lam < scenario.lambda_tilde:
+        return "dilution_classical"
+    return "dilution_amp"
+
+
 def optimal_rate(scenario: QubitScenario) -> float:
     """Optimal copy-number rate k0^2 / lam^2 with the governing threshold.
 
@@ -495,10 +478,11 @@ def optimal_rate(scenario: QubitScenario) -> float:
     """
     _require_unsaturated(scenario)
     r, lam = scenario.r0_norm, scenario.lam
-    if lam == 1.0:
+    branch = rate_branch(scenario)
+    if branch == "identity":
         return 1.0
-    if lam > 1.0:
+    if branch == "purification":
         return (1.0 / lam - r) / (lam * lam * (1.0 - r))
-    if lam < scenario.lambda_tilde:
+    if branch == "dilution_classical":
         return (1.0 / (lam * lam) - r * r) / (1.0 - r * r)
     return (r + 1.0 / lam) / (lam * lam * (r + 1.0))

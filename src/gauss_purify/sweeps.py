@@ -33,6 +33,7 @@ from .risk import (
     quantum_minimax_risk,
     quantum_threshold,
     qubit_thresholds,
+    rate_branch,
     s_tilde,
 )
 
@@ -171,15 +172,7 @@ def _plan_fig5(config: SweepConfig) -> _Plan:
         r, ro = point
         lam = ro / r
         sc = QubitScenario(r, lam)
-        if lam > 1.0:
-            branch = "purification"
-        elif lam == 1.0:
-            branch = "identity"
-        elif lam < sc.lambda_tilde:
-            branch = "dilution_classical"
-        else:
-            branch = "dilution_amp"
-        return [r, ro, lam, branch, optimal_rate(sc)]
+        return [r, ro, lam, rate_branch(sc), optimal_rate(sc)]
 
     return _Plan(["r0", "r_out", "lam", "branch", "rate"], [], points, row)
 

@@ -26,7 +26,7 @@ from gauss_purify.oracles import (
     AncillaCandidate,
     SUITE_NAMES,
     ancilla_optimality_search,
-    case4_risk_closed,
+    case4_risk_quad,
     check_stochastic_ordering,
     kraus_operators,
     simulate_channel,
@@ -169,7 +169,7 @@ def test_covariance_single_displacement():
 
 def test_case4_closed_form_agrees_with_quadrature():
     args = (0.7, 0.3, 1.4, 0.8)
-    assert abs(case4_risk_closed(*args) - case4_risk(*args, abs_tol=1e-10)) < 1e-8
+    assert abs(case4_risk(*args) - case4_risk_quad(*args, abs_tol=1e-10)) < 1e-8
 
 
 def test_suite_registry():

@@ -3,12 +3,24 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
+import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gauss_purify.channels import AMPLIFY, ATTENUATE
+from gauss_purify.channels import (
+    AMPLIFY,
+    ATTENUATE,
+    ClassicalGaussian,
+    channel_s_tilde,
+    classical_channel,
+    gaussian_noise_topup,
+)
+from gauss_purify.fock import thermal_state
 from gauss_purify.risk import (
     GaussianProblem,
     QubitScenario,
@@ -23,8 +35,10 @@ from gauss_purify.risk import (
     quantum_minimax_risk,
     quantum_threshold,
     qubit_thresholds,
+    rate_branch,
     s_tilde,
 )
+from gauss_purify.risk import _last_term
 
 thermals = st.floats(min_value=0.0, max_value=0.95)
 
@@ -188,6 +202,84 @@ def test_case4_reduces_to_marginals():
     assert abs(case4_risk(0.4, 0.4, 2.0, 1.0) - gaussian_l1(2.0, 1.0)) < 1e-12
 
 
+def _case4_mpmath(s_t, s2, var1, var2):
+    """Per-term closed-form sum at 30 digits, remainder below 1e-16."""
+    with mpmath.workdps(30):
+        s_t, s2, v1, v2 = (mpmath.mpf(x) for x in (s_t, s2, var1, var2))
+        sig1, sig2 = mpmath.sqrt(v1), mpmath.sqrt(v2)
+        total = mpmath.mpf(0)
+        pa = pb = mpmath.mpf(1)  # s_t^n and s2^n
+        # the dropped terms sum to at most s_t^n + s2^n
+        while pa + pb > mpmath.mpf("1e-16"):
+            A, B = (1 - s_t) * pa, (1 - s2) * pb
+            if A == 0 or B == 0:
+                total += A + B
+            elif (v1 - v2) * (B * sig1 - A * sig2) <= 0:
+                # one density dominates everywhere
+                total += abs(A - B)
+            else:
+                # |A g1 - B g2| changes sign where the densities cross
+                x2 = 2 * v1 * v2 * mpmath.log(B * sig1 / (A * sig2)) / (v1 - v2)
+                u1 = mpmath.sqrt(x2 / (2 * v1))
+                u2 = mpmath.sqrt(x2 / (2 * v2))
+                total += abs(A * mpmath.erf(u1) - B * mpmath.erf(u2))
+                total += abs(A * mpmath.erfc(u1) - B * mpmath.erfc(u2))
+            pa *= s_t
+            pb *= s2
+        return float(total)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (0.7, 0.3, 1.5, 0.9),
+        (0.9, 0.85, 0.3, 2.5),
+        (0.0, 0.4, 1.2, 0.7),  # s_t = 0
+        (0.6, 0.0, 0.8, 1.9),  # s2 = 0
+        (0.5, 0.2, 1.0, 1.0 * (1.0 + 1e-6)),  # near-equal variances
+        (0.56, 0.55, 1.18, 1.18 * (1.0 - 1e-8)),
+        (0.999, 0.3, 1.5, 1.0),  # s~ near 1
+    ],
+)
+def test_case4_matches_mpmath_series(args):
+    assert abs(case4_risk(*args, abs_tol=1e-12) - _case4_mpmath(*args)) < 1e-12
+
+
+@given(
+    sa=st.floats(min_value=0.0, max_value=0.99),
+    sb=st.floats(min_value=0.0, max_value=0.99),
+    log_tol=st.floats(min_value=-14.0, max_value=0.5),
+)
+@settings(max_examples=60)
+def test_case4_last_term_matches_scan(sa, sb, log_tol):
+    if sa == sb == 0.0:
+        return
+    tol = 10.0**log_tol
+    n = 0
+    while sa ** (n + 1) + sb ** (n + 1) >= tol:
+        n += 1
+    assert _last_term(sa, sb, tol) == n
+
+
+def test_case4_near_unit_s_tilde_is_fast_and_bracketed():
+    args = (0.99999, 0.3, 1.5, 1.0)
+    t0 = time.perf_counter()
+    total = case4_risk(*args)
+    elapsed = time.perf_counter() - t0
+    q = geometric_l1(args[0], args[1])[0]
+    c = gaussian_l1(args[2], args[3])
+    assert max(q, c) <= total <= q + c
+    assert elapsed < 2.0
+
+
+def test_cli_import_leaves_out_integrate():
+    code = "import sys, gauss_purify.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "False"
+
+
 def test_case4_worked_point():
     # dense-regime value cross-checked against a per-term closed form
     sc = QubitScenario(1.0 / 3.0, 2.4, k=0.8)
@@ -243,6 +335,44 @@ def test_nan_reproducers_raise_value_error():
         gaussian_risk(GaussianProblem(0.5, 0.3, 1.0, math.nan, 1.5))
     with pytest.raises(ValueError, match="^lam "):
         optimal_rate(QubitScenario(0.5, math.nan))
+
+
+_NONFINITE_CASES = [
+    (thermal_state, dict(s=0.5, cutoff=5), ["s"]),
+    (channel_s_tilde, dict(kind="att", s1=0.5, k=0.5), ["s1", "k"]),
+    (gaussian_noise_topup, dict(s_tilde=0.2, s2=0.5), ["s_tilde", "s2"]),
+    (
+        classical_channel,
+        dict(k=0.5, V1=1.0, V2=1.0, x=ClassicalGaussian(0.0, 1.0)),
+        ["k", "V1", "V2"],
+    ),
+    (gaussian_l1, dict(var_a=1.0, var_b=2.0), ["var_a", "var_b"]),
+    (classical_threshold, dict(V1=1.0, V2=2.0), ["V1", "V2"]),
+    (classical_minimax_risk, dict(V1=1.0, V2=2.0, k=3.0), ["V1", "V2", "k"]),
+    (
+        case4_risk,
+        dict(s_t=0.5, s2=0.3, var1=1.5, var2=1.0),
+        ["s_t", "s2", "var1", "var2", "abs_tol"],
+    ),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "fn, base, name",
+    [(fn, base, name) for fn, base, names in _NONFINITE_CASES for name in names],
+    ids=lambda v: v.__name__ if callable(v) else v if isinstance(v, str) else "",
+)
+def test_nonfinite_parameters_raise_naming_them(fn, base, name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        fn(**dict(base, **{name: bad}))
+
+
+def test_rate_branch_covers_every_branch():
+    assert rate_branch(QubitScenario(1.0 / 3.0, 2.4)) == "purification"
+    assert rate_branch(QubitScenario(0.5, 1.0)) == "identity"
+    assert rate_branch(QubitScenario(0.8, 0.2)) == "dilution_classical"
+    assert rate_branch(QubitScenario(0.8, 0.3)) == "dilution_amp"
 
 
 def test_qubit_thresholds_worked_values():
