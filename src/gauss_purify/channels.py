@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .fock import DiagonalFockState, _check_positive, _check_thermal
 
@@ -66,21 +65,25 @@ class ClassicalGaussian:
     variance: float
 
     def __post_init__(self):
-        if self.variance < 0.0:
-            raise ValueError("variance must be nonnegative")
+        if not math.isfinite(self.mean):
+            raise ValueError(f"mean must be finite, got {self.mean}")
+        if not (math.isfinite(self.variance) and self.variance >= 0.0):
+            raise ValueError(f"variance must be finite and nonnegative, got {self.variance}")
 
 
-def _check_att_k(k: float) -> float:
+def _check_k(kind: str, k: float, closed: bool = False) -> float:
+    """k inside the channel's own regime; NaN and inf fail too.
+
+    Attenuation needs 0 < k < 1 and amplification 1 < k < inf; closed
+    also admits k = 1, where either channel is the identity.
+    """
     k = float(k)
-    if not 0.0 < k < 1.0:
-        raise ValueError(f"attenuation requires 0 < k < 1, got {k}")
-    return k
-
-
-def _check_amp_k(k: float) -> float:
-    k = float(k)
-    if k <= 1.0:
-        raise ValueError(f"amplification requires k > 1, got {k}")
+    if closed and k == 1.0:
+        return k
+    if kind == ATTENUATE and not 0.0 < k < 1.0:
+        raise ValueError(f"k must lie in (0, 1{']' if closed else ')'} for attenuation, got {k}")
+    if kind == AMPLIFY and not 1.0 < k < math.inf:
+        raise ValueError(f"k must lie in {'[' if closed else '('}1, inf) for amplification, got {k}")
     return k
 
 
@@ -99,6 +102,8 @@ def channel_s_tilde(kind: str, s1: float, k: float) -> float:
 
 def _thinning_log_columns(k: float, n_vals: np.ndarray, out_cutoff: int) -> np.ndarray:
     """Binomial columns P(m | n) = C(n, m) eta^m (1-eta)^(n-m), eta = k^2."""
+    from scipy.special import gammaln
+
     eta = k * k
     m = np.arange(out_cutoff + 1)
     mm, nn = np.meshgrid(m, n_vals, indexing="ij")
@@ -116,6 +121,8 @@ def _thinning_log_columns(k: float, n_vals: np.ndarray, out_cutoff: int) -> np.n
 
 def _gain_log_columns(k: float, n_vals: np.ndarray, out_cutoff: int) -> np.ndarray:
     """Negative-binomial columns P(m|n) = C(m,n)(1/G)^(n+1)(1-1/G)^(m-n), G = k^2."""
+    from scipy.special import gammaln
+
     G = k * k
     m = np.arange(out_cutoff + 1)
     mm, nn = np.meshgrid(m, n_vals, indexing="ij")
@@ -133,13 +140,13 @@ def _gain_log_columns(k: float, n_vals: np.ndarray, out_cutoff: int) -> np.ndarr
 
 def thinning_matrix(k: float, cutoff: int) -> np.ndarray:
     """Dense beamsplitter kernel on support 0..cutoff; columns sum to 1."""
-    k = _check_att_k(k)
+    k = _check_k(ATTENUATE, k)
     return _thinning_log_columns(k, np.arange(cutoff + 1), cutoff)
 
 
 def gain_matrix(k: float, in_cutoff: int, out_cutoff: int) -> np.ndarray:
     """Dense amplifier kernel; columns sum to 1 minus the out_cutoff tail."""
-    k = _check_amp_k(k)
+    k = _check_k(AMPLIFY, k)
     return _gain_log_columns(k, np.arange(in_cutoff + 1), out_cutoff)
 
 
@@ -158,7 +165,7 @@ def attenuate_kernel(k: float, state: DiagonalFockState) -> DiagonalFockState:
     The output cutoff equals the input cutoff (loss never raises the
     photon number); the input's omitted mass carries over unchanged.
     """
-    k = _check_att_k(k)
+    k = _check_k(ATTENUATE, k)
     n_in = state.cutoff
     if n_in + 1 <= _DENSE_LIMIT:
         out = thinning_matrix(k, n_in) @ state.probs
@@ -194,7 +201,7 @@ def amplify_kernel(
     tail bound; pass ``out_cutoff`` to pin the support instead (the
     omitted mass is then whatever the truncation measures).
     """
-    k = _check_amp_k(k)
+    k = _check_k(AMPLIFY, k)
     n_in = state.cutoff
     fixed_cutoff = out_cutoff is not None
     if out_cutoff is None:
@@ -228,10 +235,12 @@ def ancilla_fock_kernel(
     attenuation and at l for amplification.  kappa = 0 recovers the
     thermal output of the vacuum-ancilla channel exactly.
     """
+    from scipy.special import gammaln
+
     kind = normalize_kind(kind)
     if fock_level < 0:
         raise ValueError("ancilla Fock level must be nonnegative")
-    k = _check_att_k(k) if kind == ATTENUATE else _check_amp_k(k)
+    k = _check_k(kind, k)
     g = channel_s_tilde(kind, s1, k)
     kappa = int(fock_level)
     shift = kappa if kind == ATTENUATE else 0

@@ -214,7 +214,9 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # the oracle layer (scipy.integrate, scipy.linalg) loads only here
+    # only verify loads the oracle layer and, with it, scipy.integrate,
+    # scipy.linalg and scipy.special; the other subcommands load
+    # scipy.special at most, on their first case-4 series
     from .oracles import run_verification_suite
 
     report = run_verification_suite(suite=args.suite, seed=args.seed)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
 
 __all__ = [
     "DiagonalFockState",
@@ -219,6 +218,8 @@ def _laguerre_log_element(lo: int, d: int, x: float, log_scale: float) -> float:
     the log-domain prefactor is delicate, so the two are merged in log
     space before exponentiating.
     """
+    from scipy.special import eval_genlaguerre
+
     lag = float(eval_genlaguerre(lo, d, x))
     if lag == 0.0 or not math.isfinite(lag):
         # Fall back to direct product when the closed form degenerates.
@@ -244,6 +245,8 @@ def displacement_matrix_element(m: int, n: int, alpha: complex) -> complex:
     -------
     complex
     """
+    from scipy.special import gammaln
+
     if m < 0 or n < 0:
         raise ValueError("photon numbers must be nonnegative")
     alpha = complex(alpha)
@@ -268,6 +271,8 @@ def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
     norms measure the truncation directly: 1 - sum_m |W[m, n]|^2 is the
     mass pushed past the cutoff.
     """
+    from scipy.special import eval_genlaguerre, gammaln
+
     if dim <= 0:
         raise ValueError("dim must be positive")
     alpha = complex(alpha)

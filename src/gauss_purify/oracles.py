@@ -27,6 +27,7 @@ from . import risk as risk_mod
 from .channels import (
     AMPLIFY,
     ATTENUATE,
+    _check_k,
     amplify_kernel,
     ancilla_fock_kernel,
     ancilla_mixture_kernel,
@@ -238,10 +239,7 @@ def simulate_channel(
     block; output mass beyond `cutoff` is measured into the tail bound.
     """
     kind = normalize_kind(kind)
-    if kind == ATTENUATE and not 0.0 < k <= 1.0:
-        raise ValueError(f"attenuation requires 0 < k <= 1, got {k}")
-    if kind == AMPLIFY and k < 1.0:
-        raise ValueError(f"amplification requires k >= 1, got {k}")
+    k = _check_k(kind, k, closed=True)
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     p = state.probs
@@ -305,10 +303,9 @@ def kraus_operators(kind: str, k: float, in_cutoff: int, out_cutoff: int) -> lis
     (gaining j) has B_j[n+j, n] from the squeezer ladder at difference n.
     """
     kind = normalize_kind(kind)
+    k = _check_k(kind, k, closed=True)
     ops: list[np.ndarray] = []
     if kind == ATTENUATE:
-        if not 0.0 < k <= 1.0:
-            raise ValueError(f"attenuation requires 0 < k <= 1, got {k}")
         theta = math.acos(k)
         blocks = [_bs_block(theta, n) for n in range(in_cutoff + 1)]
         for j in range(in_cutoff + 1):
@@ -318,8 +315,6 @@ def kraus_operators(kind: str, k: float, in_cutoff: int, out_cutoff: int) -> lis
                     B[n - j, n] = blocks[n][j, 0]
             ops.append(B)
     else:
-        if k < 1.0:
-            raise ValueError(f"amplification requires k >= 1, got {k}")
         r = math.acosh(k)
         ladders = [
             _tms_columns(r, n, 0, [0], min_length=out_cutoff - n + 2)[:, 0]
@@ -346,6 +341,7 @@ def assemble_two_mode_unitary(kind: str, k: float, cutoff: int) -> tuple[np.ndar
     restriction (exactly 0 for complete beamsplitter blocks).
     """
     kind = normalize_kind(kind)
+    k = _check_k(kind, k, closed=True)
     size = cutoff + 1
     dim = size * size
     U = np.zeros((dim, dim))
@@ -355,8 +351,6 @@ def assemble_two_mode_unitary(kind: str, k: float, cutoff: int) -> tuple[np.ndar
         return na * size + nb
 
     if kind == ATTENUATE:
-        if not 0.0 < k <= 1.0:
-            raise ValueError(f"attenuation requires 0 < k <= 1, got {k}")
         theta = math.acos(k)
         for total in range(2 * cutoff + 1):
             block = _bs_block(theta, total)
@@ -369,8 +363,6 @@ def assemble_two_mode_unitary(kind: str, k: float, cutoff: int) -> tuple[np.ndar
                     kept += col[j_out] ** 2
                 max_leak = max(max_leak, 1.0 - kept)
     else:
-        if k < 1.0:
-            raise ValueError(f"amplification requires k >= 1, got {k}")
         r = math.acosh(k)
         for d in range(-cutoff, cutoff + 1):
             a0, b0 = max(d, 0), max(-d, 0)

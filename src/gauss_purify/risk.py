@@ -26,9 +26,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import erf, erfc, xlogy
 
-from .channels import AMPLIFY, ATTENUATE, channel_s_tilde, normalize_kind
+from .channels import AMPLIFY, ATTENUATE, _check_k, channel_s_tilde, normalize_kind
 from .fock import _check_positive, _check_thermal
 
 __all__ = [
@@ -144,11 +143,7 @@ def s_tilde(kind: str, s1: float, k: float) -> float:
     amplification k >= 1); channels.channel_s_tilde accepts any k > 0.
     """
     kind = normalize_kind(kind)
-    if kind == ATTENUATE and not 0.0 < k <= 1.0:
-        raise ValueError(f"attenuation applies for 0 < k <= 1, got {k}")
-    if kind == AMPLIFY and k < 1.0:
-        raise ValueError(f"amplification applies for k >= 1, got {k}")
-    return channel_s_tilde(kind, s1, k)
+    return channel_s_tilde(kind, s1, _check_k(kind, k, closed=True))
 
 
 def quantum_minimax_risk(s1: float, s2: float, k: float, kind: str) -> float:
@@ -215,6 +210,8 @@ def case4_risk(
     index where the lighter weight becomes negligible; the terms after
     it sum to the weights' geometric tails in closed form.
     """
+    from scipy.special import erf, erfc, xlogy
+
     _check_thermal("s_t", s_t)
     _check_thermal("s2", s2)
     _check_positive("var1", var1)

@@ -56,6 +56,50 @@ def test_risk_gaussian_full_report():
     assert abs(rep["total_risk"] - 0.616117181918463) < 1e-6
 
 
+_CASE4_ARGS = [
+    "--s1", "0.5", "--s2", "0.1111111111111111",
+    "--V1", "0.8888888888888888", "--V2", "0.36", "--k", "0.8",
+]
+
+# rates, thresholds and the case 1-3 risks are closed forms on numpy and
+# math alone; scipy.special loads with the first case-4 series
+_LAZY_SCIPY_CHILD = f"""
+import contextlib, io, json, sys
+from gauss_purify import cli
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(list(argv) + ["--json"]) == 0
+    return json.loads(out.getvalue())
+
+run("rates", "--r0", "0.8", "--lambda", "0.4166666666666667")
+run("thresholds", "--qubit", "--r0", "0.5", "--lambda", "0.5")
+cases = [
+    run("risk", "--qubit", "--r0", r0, "--lambda", lam, "--k", k)["case"]
+    for r0, lam, k in [("0.5", "0.5", "0.5"), ("0.3333333", "2.4", "0.36"), ("0.5", "0.5", "1.2")]
+]
+scipy_mods = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+case4 = run("risk", "--gaussian", *{_CASE4_ARGS!r})
+print(json.dumps({{"cases": cases, "scipy": scipy_mods, "case4": case4}}))
+"""
+
+
+def test_closed_form_calls_leave_out_scipy():
+    from gauss_purify.risk import GaussianProblem, gaussian_risk
+
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_SCIPY_CHILD], capture_output=True, text=True, check=True
+    )
+    got = json.loads(proc.stdout)
+    assert got["cases"] == [1, 2, 3]
+    assert got["scipy"] == []
+    s1, s2, V1, V2, k = (float(v) for v in _CASE4_ARGS[1::2])
+    want = gaussian_risk(GaussianProblem(s1, s2, V1, V2, k))
+    assert got["case4"]["case"] == 4
+    assert got["case4"]["total_risk"] == want.total_risk
+
+
 def test_risk_qubit_case2():
     proc = run_cli("risk", "--qubit", "--r0", "0.3333333", "--lambda", "2.4", "--k", "0.36")
     pairs = parse_pairs(proc.stdout)

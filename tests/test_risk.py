@@ -16,11 +16,21 @@ from gauss_purify.channels import (
     AMPLIFY,
     ATTENUATE,
     ClassicalGaussian,
+    amplify_kernel,
+    attenuate_kernel,
     channel_s_tilde,
     classical_channel,
+    gain_matrix,
     gaussian_noise_topup,
+    thinning_matrix,
 )
 from gauss_purify.fock import thermal_state
+from gauss_purify.oracles import (
+    AncillaCandidate,
+    assemble_two_mode_unitary,
+    kraus_operators,
+    simulate_channel,
+)
 from gauss_purify.risk import (
     GaussianProblem,
     QubitScenario,
@@ -354,6 +364,26 @@ _NONFINITE_CASES = [
         dict(s_t=0.5, s2=0.3, var1=1.5, var2=1.0),
         ["s_t", "s2", "var1", "var2", "abs_tol"],
     ),
+    # k-regime bounds written as comparisons must not let NaN or inf through
+    (thinning_matrix, dict(k=0.5, cutoff=5), ["k"]),
+    (gain_matrix, dict(k=1.5, in_cutoff=3, out_cutoff=5), ["k"]),
+    (attenuate_kernel, dict(k=0.5, state=thermal_state(0.3, 5)), ["k"]),
+    (amplify_kernel, dict(k=1.5, state=thermal_state(0.3, 5), out_cutoff=8), ["k"]),
+    (s_tilde, dict(kind="amp", s1=0.5, k=1.5), ["k"]),
+    (
+        simulate_channel,
+        dict(
+            kind="amp",
+            k=1.5,
+            state=thermal_state(0.3, 5),
+            ancilla=AncillaCandidate.vacuum(),
+            cutoff=8,
+        ),
+        ["k"],
+    ),
+    (kraus_operators, dict(kind="amp", k=1.5, in_cutoff=3, out_cutoff=5), ["k"]),
+    (assemble_two_mode_unitary, dict(kind="amp", k=1.5, cutoff=3), ["k"]),
+    (ClassicalGaussian, dict(mean=0.0, variance=1.0), ["mean", "variance"]),
 ]
 
 
