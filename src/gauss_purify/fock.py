@@ -78,6 +78,9 @@ class DiagonalFockState:
             raise ValueError(
                 f"probs must have length cutoff+1 = {self.cutoff + 1}, got {probs.shape}"
             )
+        bad = np.flatnonzero(~np.isfinite(probs))
+        if bad.size:
+            raise ValueError(f"probs must be finite, got {probs[bad[0]]} at n = {bad[0]}")
         if np.any(probs < -_NORM_SLACK):
             raise ValueError("negative probability entry")
         # Clip rounding-level negatives so downstream abs/cumsum logic is clean.
@@ -86,8 +89,8 @@ class DiagonalFockState:
         total = float(probs.sum())
         if total > 1.0 + 1e-9:
             raise ValueError(f"probabilities sum to {total} > 1")
-        if self.tail_bound < 0.0:
-            raise ValueError("tail_bound must be nonnegative")
+        if not (math.isfinite(self.tail_bound) and self.tail_bound >= 0.0):
+            raise ValueError(f"tail_bound must be finite and nonnegative, got {self.tail_bound}")
         if total + self.tail_bound < 1.0 - 1e-9:
             raise ValueError(
                 f"sum(probs) + tail_bound = {total + self.tail_bound} < 1; "

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -177,15 +176,14 @@ def _ladder_evolve(offdiag: np.ndarray, r: float, cols) -> np.ndarray:
     return sign * np.where(shift % 2 == 0, cos_part, sin_part)
 
 
-@lru_cache(maxsize=2048)
 def _bs_block(theta: float, total: int) -> np.ndarray:
     """Beamsplitter unitary on the conserved-total block span{|total-j, j>}.
 
     The generator theta (a^dag b - a b^dag) is real antisymmetric and
     tridiagonal on the block (a b^dag |total-j, j> = sqrt((total-j)(j+1))
     |total-j-1, j+1>), so `_ladder_evolve` exponentiates it exactly and the
-    block is orthogonal to rounding.  Cached; callers must treat the
-    returned array as read-only.
+    block is orthogonal to rounding.  One decomposition per call; nothing
+    is kept between calls.
     """
     j = np.arange(total)
     offdiag = -np.sqrt((total - j) * (j + 1.0))
@@ -223,6 +221,70 @@ def _tms_columns(
     )
 
 
+def _squeezer_sectors(r: float, needs: dict, min_length):
+    """Yield (d, cols) for every sector d in `needs`, one ladder per |d|.
+
+    `needs[d]` lists the ladder indices t wanted in the sector of
+    conserved difference d = n_a - n_b, whose states are |a0+t, b0+t>
+    with a0 = max(d, 0), b0 = max(-d, 0); `min_length(d)` is the ladder
+    length its outputs need.  Sectors d and -d have the same generator
+    (off-diagonal sqrt((|d|+j+1)(j+1))), so both come from one
+    `_tms_columns` call over the union of their indices, at the longer of
+    their two lengths; cols holds the columns of needs[d] in order.
+    """
+    for a in sorted({abs(d) for d in needs}):
+        pair = [d for d in dict.fromkeys((a, -a)) if d in needs]
+        idx = sorted(set().union(*(needs[d] for d in pair)))
+        cols = _tms_columns(r, a, 0, idx, max(min_length(d) for d in pair))
+        for d in pair:
+            yield d, cols[:, np.searchsorted(idx, needs[d])]
+
+
+def _channel_outputs(
+    kind: str, k: float, probs: np.ndarray, taus: np.ndarray, cutoff: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Output laws of every (input, ancilla) pair, one ladder per sector.
+
+    probs (P, n_in+1) and taus (Q, k_anc+1) stack the input and ancilla
+    photon-number laws.  The outer loop runs over conserved sectors (the
+    total photon number for the beamsplitter, |n_a - n_b| for the
+    squeezer); each ladder is decomposed once and every column any pair
+    needs is taken from it.  Returns the output laws (P, Q, cutoff+1)
+    and the mass each pair sends beyond `cutoff` (P, Q).
+    """
+    P, Q = probs.shape[0], taus.shape[0]
+    # every (n, kap) level pair with weight in some input and some ancilla
+    live_n = np.flatnonzero(np.any(probs != 0.0, axis=0))
+    live_kap = np.flatnonzero(np.any(taus != 0.0, axis=0))
+    n, kap = np.repeat(live_n, live_kap.size), np.tile(live_kap, live_n.size)
+    label = n + kap if kind == ATTENUATE else n - kap
+    members = {int(s): np.flatnonzero(label == s) for s in np.unique(label)}
+    out = np.zeros((P, Q, cutoff + 1))
+    beyond = np.zeros((P, Q))
+
+    if kind == ATTENUATE:
+        theta = math.acos(k)
+        sectors = (
+            (total, total - np.arange(total + 1), _bs_block(theta, total)[:, kap[sel]])
+            for total, sel in members.items()
+        )
+    else:
+        needs = {d: np.minimum(n[sel], kap[sel]) for d, sel in members.items()}
+        sectors = (
+            (d, max(d, 0) + np.arange(cols.shape[0]), cols)
+            for d, cols in _squeezer_sectors(math.acosh(k), needs, lambda d: cutoff - max(d, 0) + 2)
+        )
+    for sector, m_vals, cols in sectors:
+        sel = members[sector]
+        # pair weights, one row per column and one entry per (input, ancilla)
+        w = probs[:, n[sel]].T[:, :, None] * taus[:, kap[sel]].T[:, None, :]
+        mass = (cols * cols) @ w.reshape(sel.size, P * Q)
+        keep = m_vals <= cutoff
+        out[:, :, m_vals[keep]] += mass[keep].T.reshape(P, Q, -1)
+        beyond += mass[~keep].sum(axis=0).reshape(P, Q)
+    return out, beyond
+
+
 def simulate_channel(
     kind: str,
     k: float,
@@ -235,64 +297,17 @@ def simulate_channel(
     Couples the (truncated) input to the ancilla with a beamsplitter
     rotation (attenuation, k = cos theta) or a two-mode squeezer
     (amplification, k = cosh r), then traces out the ancilla mode.  Both
-    generators conserve a quantum number, so the evolution runs block by
-    block; output mass beyond `cutoff` is measured into the tail bound.
+    generators conserve a quantum number, so the evolution runs sector by
+    sector, one ladder decomposition each (mirrored squeezer sectors d
+    and -d share one); output mass beyond `cutoff` is measured into the
+    tail bound.
     """
     kind = normalize_kind(kind)
     k = _check_k(kind, k, closed=True)
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    p = state.probs
-    n_in = state.cutoff
-    tau = ancilla.weights
-    k_anc = ancilla.max_level
-    out = np.zeros(cutoff + 1)
-    beyond = 0.0
-
-    if kind == ATTENUATE:
-        theta = math.acos(k)
-        # total photon number is conserved: evolve each block separately
-        for total in range(n_in + k_anc + 1):
-            w = np.zeros(total + 1)
-            hit = False
-            for j in range(max(0, total - n_in), min(k_anc, total) + 1):
-                weight = p[total - j] * tau[j]
-                if weight != 0.0:
-                    w[j] = weight
-                    hit = True
-            if not hit:
-                continue
-            block = _bs_block(theta, total)
-            probs_j = (block * block) @ w
-            m_vals = total - np.arange(total + 1)
-            keep = m_vals <= cutoff
-            np.add.at(out, m_vals[keep], probs_j[keep])
-            beyond += float(probs_j[~keep].sum())
-    else:
-        r = math.acosh(k)
-        # photon-number difference n_a - n_b is conserved: evolve ladders
-        for d in range(-k_anc, n_in + 1):
-            a0, b0 = max(d, 0), max(-d, 0)
-            entries = []
-            for kap in range(max(0, -d), k_anc + 1):
-                n = d + kap
-                if 0 <= n <= n_in:
-                    weight = p[n] * tau[kap]
-                    if weight != 0.0:
-                        entries.append((kap - b0, weight))
-            if not entries:
-                continue
-            idx = [t for t, _ in entries]
-            wts = np.array([wt for _, wt in entries])
-            cols = _tms_columns(r, a0, b0, idx, min_length=cutoff - a0 + 2)
-            probs_j = (cols * cols) @ wts
-            m_vals = a0 + np.arange(cols.shape[0])
-            keep = m_vals <= cutoff
-            out[m_vals[keep]] += probs_j[keep]
-            beyond += float(probs_j[~keep].sum())
-
-    tail = state.tail_bound + max(beyond, 0.0)
-    return DiagonalFockState(out, cutoff, tail)
+    out, beyond = _channel_outputs(kind, k, state.probs[None], ancilla.weights[None], cutoff)
+    return DiagonalFockState(out[0, 0], cutoff, state.tail_bound + max(float(beyond[0, 0]), 0.0))
 
 
 def kraus_operators(kind: str, k: float, in_cutoff: int, out_cutoff: int) -> list[np.ndarray]:
@@ -304,80 +319,56 @@ def kraus_operators(kind: str, k: float, in_cutoff: int, out_cutoff: int) -> lis
     """
     kind = normalize_kind(kind)
     k = _check_k(kind, k, closed=True)
-    ops: list[np.ndarray] = []
     if kind == ATTENUATE:
         theta = math.acos(k)
-        blocks = [_bs_block(theta, n) for n in range(in_cutoff + 1)]
-        for j in range(in_cutoff + 1):
-            B = np.zeros((out_cutoff + 1, in_cutoff + 1))
-            for n in range(j, in_cutoff + 1):
-                if n - j <= out_cutoff:
-                    B[n - j, n] = blocks[n][j, 0]
-            ops.append(B)
+        amps = [_bs_block(theta, n)[:, 0] for n in range(in_cutoff + 1)]
+        moves, sign = range(in_cutoff + 1), -1
     else:
-        r = math.acosh(k)
-        ladders = [
-            _tms_columns(r, n, 0, [0], min_length=out_cutoff - n + 2)[:, 0]
-            for n in range(in_cutoff + 1)
-        ]
-        for j in range(out_cutoff + 1):
-            B = np.zeros((out_cutoff + 1, in_cutoff + 1))
-            any_entry = False
-            for n in range(in_cutoff + 1):
-                if n + j <= out_cutoff and j < ladders[n].size:
-                    B[n + j, n] = ladders[n][j]
-                    any_entry = True
-            if any_entry:
-                ops.append(B)
+        needs = {n: [0] for n in range(in_cutoff + 1)}
+        sectors = _squeezer_sectors(math.acosh(k), needs, lambda n: out_cutoff - n + 2)
+        amps = [cols[:, 0] for _, cols in sectors]
+        moves, sign = range(out_cutoff + 1), 1
+    ops: list[np.ndarray] = []
+    for j in moves:
+        B = np.zeros((out_cutoff + 1, in_cutoff + 1))
+        for n in range(in_cutoff + 1):
+            if 0 <= n + sign * j <= out_cutoff:
+                B[n + sign * j, n] = amps[n][j]
+        ops.append(B)
     return ops
 
 
 def assemble_two_mode_unitary(kind: str, k: float, cutoff: int) -> tuple[np.ndarray, float]:
     """Dense two-mode unitary restricted to n_a, n_b <= cutoff.
 
-    Entries come from fully converged conserved-sector evolutions, so the
-    returned matrix is the restriction of the untruncated unitary; the
-    accompanying number is the largest column mass lost to the
-    restriction (exactly 0 for complete beamsplitter blocks).
+    Entries come from fully converged conserved-sector evolutions, one
+    ladder decomposition per sector (mirrored squeezer sectors share
+    one), so the returned matrix is the restriction of the untruncated
+    unitary; the accompanying number is the largest column mass lost to
+    the restriction (exactly 0 for complete beamsplitter blocks).
     """
     kind = normalize_kind(kind)
     k = _check_k(kind, k, closed=True)
     size = cutoff + 1
-    dim = size * size
-    U = np.zeros((dim, dim))
+    U = np.zeros((size * size, size * size))
     max_leak = 0.0
 
-    def pos(na: int, nb: int) -> int:
-        return na * size + nb
+    def place(na: np.ndarray, nb: np.ndarray, cols: np.ndarray) -> None:
+        nonlocal max_leak
+        pos = na * size + nb
+        U[np.ix_(pos, pos)] = cols
+        max_leak = max(max_leak, 1.0 - float(np.min(np.sum(cols * cols, axis=0))))
 
     if kind == ATTENUATE:
         theta = math.acos(k)
         for total in range(2 * cutoff + 1):
-            block = _bs_block(theta, total)
-            j_lo, j_hi = max(0, total - cutoff), min(cutoff, total)
-            for j_in in range(j_lo, j_hi + 1):
-                col = block[:, j_in]
-                kept = 0.0
-                for j_out in range(j_lo, j_hi + 1):
-                    U[pos(total - j_out, j_out), pos(total - j_in, j_in)] = col[j_out]
-                    kept += col[j_out] ** 2
-                max_leak = max(max_leak, 1.0 - kept)
+            j = np.arange(max(0, total - cutoff), min(cutoff, total) + 1)
+            place(total - j, j, _bs_block(theta, total)[np.ix_(j, j)])
     else:
-        r = math.acosh(k)
-        for d in range(-cutoff, cutoff + 1):
-            a0, b0 = max(d, 0), max(-d, 0)
-            t_hi = cutoff - max(a0, b0)
-            if t_hi < 0:
-                continue
-            idx = list(range(t_hi + 1))
-            cols = _tms_columns(r, a0, b0, idx, min_length=t_hi + 2)
-            for i, t_in in enumerate(idx):
-                kept = 0.0
-                for t_out in range(t_hi + 1):
-                    amp = cols[t_out, i]
-                    U[pos(a0 + t_out, b0 + t_out), pos(a0 + t_in, b0 + t_in)] = amp
-                    kept += amp**2
-                max_leak = max(max_leak, 1.0 - kept)
+        needs = {d: np.arange(cutoff - abs(d) + 1) for d in range(-cutoff, cutoff + 1)}
+        for d, cols in _squeezer_sectors(math.acosh(k), needs, lambda d: cutoff - abs(d) + 2):
+            t = needs[d]
+            place(max(d, 0) + t, max(-d, 0) + t, cols[t])
     return U, max_leak
 
 
@@ -528,11 +519,13 @@ def ancilla_optimality_search(
     Candidates are all simplex vertices (pure Fock ancillas up to
     max_level) plus `samples` Dirichlet-uniform draws.  The channel is
     linear in the ancilla, so each candidate's output is the matching
-    mixture of precomputed pure-level outputs; the risk is the L1
-    distance to the thermal target.  The report flags any candidate
-    beating the vacuum by more than 1e-9.
+    mixture of the pure-level outputs, which come from one pass over the
+    conserved sectors (one ladder decomposition each, shared by every
+    level); the risk is the L1 distance to the thermal target.  The
+    report flags any candidate beating the vacuum by more than 1e-9.
     """
     kind = normalize_kind(kind)
+    k = _check_k(kind, k, closed=True)
     n_in = _thermal_cutoff(s1, 1e-13)
     if kind == ATTENUATE:
         out_cut = n_in + max_level
@@ -541,12 +534,7 @@ def ancilla_optimality_search(
         bulk = (n_in + max_level + 1) * gain
         out_cut = int(bulk + 10.0 * math.sqrt(bulk) + 80)
     src = thermal_state(s1, n_in)
-    pure_outs = np.stack(
-        [
-            simulate_channel(kind, k, src, AncillaCandidate.fock(lvl), out_cut).probs
-            for lvl in range(max_level + 1)
-        ]
-    )
+    pure_outs = _channel_outputs(kind, k, src.probs[None], np.eye(max_level + 1), out_cut)[0][0]
     target = thermal_state(s2, out_cut).probs
 
     rng = np.random.default_rng([seed, 7])
@@ -974,17 +962,18 @@ def _check_kernel_vs_unitary(rng: np.random.Generator, fast: bool) -> dict:
     cutoff = 40 if fast else 60
     ks = [0.5, 1.5] if fast else [0.3, 0.5, 0.9, 1.2, 1.5, 2.0]
     s_vals = [0.5] if fast else [0.2, 0.5, 0.8]
-    vac = AncillaCandidate.vacuum()
+    srcs = [thermal_state(s1, cutoff) for s1 in s_vals]
+    inputs = np.stack([src.probs for src in srcs])
     worst = 0.0
-    for s1 in s_vals:
-        src = thermal_state(s1, cutoff)
-        for k in ks:
-            if k < 1.0:
+    for k in ks:
+        # one pass over the sectors serves every s1 (vacuum ancilla)
+        kind = ATTENUATE if k < 1.0 else AMPLIFY
+        sims = _channel_outputs(kind, k, inputs, np.ones((1, 1)), cutoff)[0][:, 0]
+        for src, sim in zip(srcs, sims):
+            if kind == ATTENUATE:
                 kern = attenuate_kernel(k, src).probs
-                sim = simulate_channel(ATTENUATE, k, src, vac, cutoff).probs
             else:
                 kern = amplify_kernel(k, src, out_cutoff=cutoff).probs
-                sim = simulate_channel(AMPLIFY, k, src, vac, cutoff).probs
             worst = max(worst, float(np.max(np.abs(kern - sim))))
     return _report(
         "kernel_vs_unitary", worst <= 1e-8, max_entry_err=worst, cutoff=cutoff,

@@ -60,6 +60,11 @@ _BLOCK = 1 << 16
 # rounding, so the rest of the series sums in closed form.
 _LOG_NEGLIGIBLE = -60.0 * math.log(2.0)
 
+# Largest number of case-4 terms summed one by one (about 1 s at ~75 ns
+# a term).  s~ and s2 both near 1 need about 20/(1 - s~) of them; such
+# inputs are rejected before the loop instead of running for minutes.
+_TERM_BUDGET = 1 << 24
+
 
 def _phi(x: float) -> float:
     """Standard normal CDF."""
@@ -208,10 +213,10 @@ def case4_risk(
     s_t^(n+1) + s2^(n+1) fall below abs_tol / 4, which bounds the
     dropped remainder.  Terms are evaluated in numpy blocks up to the
     index where the lighter weight becomes negligible; the terms after
-    it sum to the weights' geometric tails in closed form.
+    it sum to the weights' geometric tails in closed form.  Raises
+    ValueError naming s_t and s2 when more than 2^24 terms would have
+    to be evaluated one by one (both near 1).
     """
-    from scipy.special import erf, erfc, xlogy
-
     _check_thermal("s_t", s_t)
     _check_thermal("s2", s2)
     _check_positive("var1", var1)
@@ -230,6 +235,12 @@ def case4_risk(
     offset = math.log1p(-s_lo) - math.log1p(-s_hi)
     slope = math.log(s_lo / s_hi) if s_lo > 0.0 else -math.inf
     split = min(last + 1, max(0, math.floor((_LOG_NEGLIGIBLE - offset) / slope) + 1))
+    if split > _TERM_BUDGET:
+        raise ValueError(
+            f"s_t = {s_t} and s2 = {s2} are too close to 1: the case-4 series needs "
+            f"{split} terms one by one, above the budget of {_TERM_BUDGET}"
+        )
+    from scipy.special import erf, erfc, xlogy
 
     sig1, sig2 = math.sqrt(var1), math.sqrt(var2)
     # x_n^2 = scale * (log(B_n / A_n) + log(sig1 / sig2))

@@ -22,10 +22,12 @@ from gauss_purify.channels import (
     channel_s_tilde,
 )
 from gauss_purify.fock import number_state, thermal_state, vacuum_state
+from gauss_purify import oracles
 from gauss_purify.oracles import (
     AncillaCandidate,
     SUITE_NAMES,
     ancilla_optimality_search,
+    assemble_two_mode_unitary,
     case4_risk_quad,
     check_stochastic_ordering,
     kraus_operators,
@@ -35,9 +37,11 @@ from gauss_purify.oracles import (
 )
 from gauss_purify.oracles import (
     _bs_block,
+    _channel_outputs,
     _check_threshold_exactness,
     _jsonable,
     _report,
+    _thermal_cutoff,
     _tms_columns,
 )
 from gauss_purify import risk as risk_mod
@@ -105,6 +109,55 @@ def test_ladders_are_exact_identity_at_zero():
     assert np.array_equal(_bs_block(0.0, 7), np.eye(8))
     cols = _tms_columns(0.0, 2, 0, [0, 3], min_length=20)
     assert np.array_equal(cols, np.eye(cols.shape[0])[:, [0, 3]])
+
+
+@pytest.mark.parametrize("kind, k, cutoff", [(ATTENUATE, 0.7, 16), (AMPLIFY, 1.4, 40)])
+def test_batched_outputs_match_separate_simulations(kind, k, cutoff):
+    # one pass over the sectors for every (input, Fock level) pair must
+    # give what a separate simulation of each pair gives
+    srcs = [thermal_state(0.3, 10), number_state(3, cutoff=10)]
+    levels = 4
+    outs, beyond = _channel_outputs(
+        kind, k, np.stack([s.probs for s in srcs]), np.eye(levels + 1), cutoff
+    )
+    for i, src in enumerate(srcs):
+        for lvl in range(levels + 1):
+            sim = simulate_channel(kind, k, src, AncillaCandidate.fock(lvl), cutoff)
+            assert np.max(np.abs(outs[i, lvl] - sim.probs)) <= 1e-14
+            assert abs(src.tail_bound + max(beyond[i, lvl], 0.0) - sim.tail_bound) <= 1e-14
+
+
+def test_amplifier_unitary_is_symmetric_under_mode_swap():
+    # the two-mode squeezer commutes with swapping the modes, and the
+    # mirrored sectors d, -d are read from one ladder, so the swap is exact
+    cutoff = 12
+    U, _ = assemble_two_mode_unitary(AMPLIFY, 1.15, cutoff)
+    size = cutoff + 1
+    swap = np.arange(size * size).reshape(size, size).T.ravel()
+    assert np.array_equal(U[np.ix_(swap, swap)], U)
+
+
+def test_one_decomposition_per_ladder_per_call(monkeypatch):
+    calls = []
+    real = oracles.eigh_tridiagonal
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracles, "eigh_tridiagonal", counting)
+    # at these parameters no ladder needs an edge-mass retry, so each
+    # decomposition is one ladder |d| = 0..n_in shared by every ancilla
+    # level (the per-level loop made 3 (n_in + 1))
+    s1 = 0.04
+    n_in = _thermal_cutoff(s1, 1e-13)
+    ancilla_optimality_search(AMPLIFY, 1.3, s1, 0.3, max_level=2, samples=50)
+    assert len(calls) == n_in + 1
+    # unitary: sectors d and -d share a ladder, c + 1 of them (not 2c + 1)
+    calls.clear()
+    cutoff = 13
+    assemble_two_mode_unitary(AMPLIFY, 1.025, cutoff)
+    assert len(calls) == cutoff + 1
 
 
 def test_amplifier_simulation_leaves_global_rng_alone(monkeypatch):

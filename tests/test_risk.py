@@ -24,7 +24,7 @@ from gauss_purify.channels import (
     gaussian_noise_topup,
     thinning_matrix,
 )
-from gauss_purify.fock import thermal_state
+from gauss_purify.fock import from_probs, thermal_state
 from gauss_purify.oracles import (
     AncillaCandidate,
     assemble_two_mode_unitary,
@@ -282,6 +282,19 @@ def test_case4_near_unit_s_tilde_is_fast_and_bracketed():
     assert elapsed < 2.0
 
 
+def test_case4_nearly_mixed_qubit_is_rejected_fast():
+    # r0 = 1e-9 puts s~ and s2 within ~1e-8 of 1: the series would need
+    # ~1e10 terms, so it is refused before the loop, naming s_t and s2
+    base = QubitScenario(1e-9, 2.0)
+    k = 1.2 * max(qubit_thresholds(base)[:2])
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="^s_t = .* and s2 = .* too close to 1"):
+        combined_risk(QubitScenario(1e-9, 2.0, k=k))
+    assert time.perf_counter() - t0 < 0.1
+    # well inside the budget the series still runs
+    assert 0.0 < case4_risk(0.99999, 0.99998, 1.5, 1.0) < 2.0
+
+
 def test_cli_import_leaves_out_integrate():
     code = "import sys, gauss_purify.cli; print('scipy.integrate' in sys.modules)"
     proc = subprocess.run(
@@ -347,8 +360,15 @@ def test_nan_reproducers_raise_value_error():
         optimal_rate(QubitScenario(0.5, math.nan))
 
 
+def _two_level_state(probs, tail_bound=0.0):
+    """from_probs([probs, 0.5]): a bad value lands in one entry of the law."""
+    return from_probs([probs, 0.5], tail_bound=tail_bound)
+
+
 _NONFINITE_CASES = [
     (thermal_state, dict(s=0.5, cutoff=5), ["s"]),
+    (_two_level_state, dict(probs=0.5), ["probs"]),
+    (from_probs, dict(probs=[1.0], tail_bound=0.0), ["tail_bound"]),
     (channel_s_tilde, dict(kind="att", s1=0.5, k=0.5), ["s1", "k"]),
     (gaussian_noise_topup, dict(s_tilde=0.2, s2=0.5), ["s_tilde", "s2"]),
     (
