@@ -23,11 +23,10 @@ from .channels import (
     ATTENUATE,
     ClassicalGaussian,
     amplify_kernel,
-    ancilla_fock_kernel,
-    ancilla_mixture_kernel,
     attenuate_kernel,
     channel_s_tilde,
     classical_channel,
+    fock_ancilla_outputs,
     gain_matrix,
     gaussian_noise_topup,
     normalize_kind,
@@ -75,8 +74,7 @@ __all__ = [
     "attenuate_kernel",
     "amplify_kernel",
     "channel_s_tilde",
-    "ancilla_fock_kernel",
-    "ancilla_mixture_kernel",
+    "fock_ancilla_outputs",
     "gaussian_noise_topup",
     "classical_channel",
     # risk

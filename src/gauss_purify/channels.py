@@ -8,10 +8,11 @@ distribution with gain k**2.  Both kernels send thermal states to
 thermal states with a rescaled parameter, which is the closed form the
 rest of the package leans on.
 
-The module also carries the covariant-channel outputs for a pure Fock
-ancilla (the building block of the ordering argument that proves the
-vacuum ancilla optimal), the Gaussian-noise top-up that fills the gap
-below threshold, and the classical affine channel x -> k x + Z.
+The module also carries the channel outputs for Fock ancillas (the
+building block of the ordering argument that proves the vacuum ancilla
+optimal), composed from the same two kernels; the Gaussian-noise top-up
+that fills the gap below threshold; and the classical affine channel
+x -> k x + Z.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DiagonalFockState, _check_positive, _check_thermal
+from .fock import DiagonalFockState, _check_count, _check_positive, _check_thermal
 
 __all__ = [
     "ATTENUATE",
@@ -33,8 +34,7 @@ __all__ = [
     "attenuate_kernel",
     "amplify_kernel",
     "channel_s_tilde",
-    "ancilla_fock_kernel",
-    "ancilla_mixture_kernel",
+    "fock_ancilla_outputs",
     "gaussian_noise_topup",
     "classical_channel",
 ]
@@ -42,9 +42,8 @@ __all__ = [
 ATTENUATE = "att"
 AMPLIFY = "amp"
 
-# Kernels are materialized densely up to this input size and streamed in
-# column chunks beyond it, keeping memory bounded at large cutoffs.
-_DENSE_LIMIT = 512
+# Kernels are applied in column chunks of this many input levels, keeping
+# memory bounded at large cutoffs.
 _STREAM_CHUNK = 256
 
 
@@ -100,11 +99,10 @@ def channel_s_tilde(kind: str, s1: float, k: float) -> float:
     return 1.0 - (1.0 - s1) / (k * k)
 
 
-def _thinning_log_columns(k: float, n_vals: np.ndarray, out_cutoff: int) -> np.ndarray:
-    """Binomial columns P(m | n) = C(n, m) eta^m (1-eta)^(n-m), eta = k^2."""
+def _thinning_log_columns(eta: float, n_vals: np.ndarray, out_cutoff: int) -> np.ndarray:
+    """Binomial columns P(m | n) = C(n, m) eta^m (1-eta)^(n-m), 0 < eta < 1."""
     from scipy.special import gammaln
 
-    eta = k * k
     m = np.arange(out_cutoff + 1)
     mm, nn = np.meshgrid(m, n_vals, indexing="ij")
     valid = mm <= nn
@@ -119,11 +117,10 @@ def _thinning_log_columns(k: float, n_vals: np.ndarray, out_cutoff: int) -> np.n
     return np.where(valid, np.exp(np.where(valid, logp, 0.0)), 0.0)
 
 
-def _gain_log_columns(k: float, n_vals: np.ndarray, out_cutoff: int) -> np.ndarray:
-    """Negative-binomial columns P(m|n) = C(m,n)(1/G)^(n+1)(1-1/G)^(m-n), G = k^2."""
+def _gain_log_columns(G: float, n_vals: np.ndarray, out_cutoff: int) -> np.ndarray:
+    """Negative-binomial columns P(m|n) = C(m,n)(1/G)^(n+1)(1-1/G)^(m-n), G > 1."""
     from scipy.special import gammaln
 
-    G = k * k
     m = np.arange(out_cutoff + 1)
     mm, nn = np.meshgrid(m, n_vals, indexing="ij")
     valid = mm >= nn
@@ -141,13 +138,13 @@ def _gain_log_columns(k: float, n_vals: np.ndarray, out_cutoff: int) -> np.ndarr
 def thinning_matrix(k: float, cutoff: int) -> np.ndarray:
     """Dense beamsplitter kernel on support 0..cutoff; columns sum to 1."""
     k = _check_k(ATTENUATE, k)
-    return _thinning_log_columns(k, np.arange(cutoff + 1), cutoff)
+    return _thinning_log_columns(k * k, np.arange(cutoff + 1), cutoff)
 
 
 def gain_matrix(k: float, in_cutoff: int, out_cutoff: int) -> np.ndarray:
     """Dense amplifier kernel; columns sum to 1 minus the out_cutoff tail."""
     k = _check_k(AMPLIFY, k)
-    return _gain_log_columns(k, np.arange(in_cutoff + 1), out_cutoff)
+    return _gain_log_columns(k * k, np.arange(in_cutoff + 1), out_cutoff)
 
 
 def _stream_apply(column_fn, probs: np.ndarray, out_cutoff: int) -> np.ndarray:
@@ -167,14 +164,11 @@ def attenuate_kernel(k: float, state: DiagonalFockState) -> DiagonalFockState:
     """
     k = _check_k(ATTENUATE, k)
     n_in = state.cutoff
-    if n_in + 1 <= _DENSE_LIMIT:
-        out = thinning_matrix(k, n_in) @ state.probs
-    else:
-        out = _stream_apply(lambda nv, oc: _thinning_log_columns(k, nv, oc), state.probs, n_in)
+    out = _stream_apply(lambda nv, oc: _thinning_log_columns(k * k, nv, oc), state.probs, n_in)
     return DiagonalFockState(out, n_in, state.tail_bound)
 
 
-def _auto_out_cutoff(k: float, in_cutoff: int, tail_target: float) -> int:
+def _auto_out_cutoff(G: float, in_cutoff: int, tail_target: float) -> int:
     """Output cutoff keeping every amplifier column tail below target.
 
     The column for input n is negative binomial with n + 1 successes at
@@ -182,7 +176,6 @@ def _auto_out_cutoff(k: float, in_cutoff: int, tail_target: float) -> int:
     the bulk.  The enlargement below is a safe analytic overestimate;
     the applied truncation is still measured afterwards.
     """
-    G = k * k
     mean = (in_cutoff + 1) * (G - 1.0)
     decay = -math.log(tail_target) / -math.log1p(-1.0 / G)
     return int(in_cutoff + mean + 10.0 * math.sqrt(mean + 1.0) + decay + 64)
@@ -205,11 +198,8 @@ def amplify_kernel(
     n_in = state.cutoff
     fixed_cutoff = out_cutoff is not None
     if out_cutoff is None:
-        out_cutoff = _auto_out_cutoff(k, n_in, tail_target)
-    if max(n_in, out_cutoff) + 1 <= _DENSE_LIMIT:
-        out = gain_matrix(k, n_in, out_cutoff) @ state.probs
-    else:
-        out = _stream_apply(lambda nv, oc: _gain_log_columns(k, nv, oc), state.probs, out_cutoff)
+        out_cutoff = _auto_out_cutoff(k * k, n_in, tail_target)
+    out = _stream_apply(lambda nv, oc: _gain_log_columns(k * k, nv, oc), state.probs, out_cutoff)
     # Exact arithmetic would give sum(out) = norm(input); the deficit is
     # the measured kernel truncation.
     kernel_loss = max(state.norm - float(out.sum()), 0.0)
@@ -220,78 +210,51 @@ def amplify_kernel(
     return DiagonalFockState(out, out_cutoff, state.tail_bound + kernel_loss)
 
 
-def ancilla_fock_kernel(
-    kind: str,
-    k: float,
-    fock_level: int,
-    s1: float,
-    cutoff: int | None = None,
-) -> DiagonalFockState:
-    """Channel output for thermal(s1) input and pure Fock ancilla |kappa>.
+def fock_ancilla_outputs(
+    kind: str, k: float, s1: float, max_level: int, cutoff: int | None = None
+) -> np.ndarray:
+    """Output laws for thermal(s1) input and Fock ancillas |0>, ..., |max_level>.
 
-    In the reduced two-mode picture the output weights are
-    d^(kappa)_l = (1 - g)^(kappa + 1) g^l C(l + kappa, kappa) with
-    g = s~(kind, s1, k), located at photon number l + kappa for
-    attenuation and at l for amplification.  kappa = 0 recovers the
-    thermal output of the vacuum-ancilla channel exactly.
+    Column kappa of the returned (cutoff+1, max_level+1) array is the
+    output photon-number law for ancilla |kappa>; a mixed ancilla with
+    level weights w gives ``outputs @ w``.  Seen from the ancilla, the
+    channel is phase-insensitive and Gaussian with the thermal input as
+    its environment, so it is pure loss eta followed by a quantum-limited
+    amplifier of gain G (Caruso, Giovannetti & Holevo, New J. Phys. 8,
+    310, 2006).  With N = s1 / (1 - s1):
+
+    - attenuation: G = 1 + k^2 N, eta = (1 - k^2) / G;
+    - amplification: G = k^2 (1 + N), eta = (k^2 - 1) / (G - 1), and the
+      ancilla comes out phase-conjugated, so the amplifier column of
+      level j is shifted down by j: P(m | j) = C(m+j, j) G^-(j+1) (1-1/G)^m.
+
+    Column 0 is thermal(s~).  The default cutoff keeps every amplifier
+    column's tail below 1e-14.
     """
-    from scipy.special import gammaln
-
     kind = normalize_kind(kind)
-    if fock_level < 0:
-        raise ValueError("ancilla Fock level must be nonnegative")
     k = _check_k(kind, k)
-    g = channel_s_tilde(kind, s1, k)
-    kappa = int(fock_level)
-    shift = kappa if kind == ATTENUATE else 0
+    s1 = _check_thermal("s1", s1)
+    max_level = _check_count("max_level", max_level)
+    if cutoff is not None:
+        cutoff = _check_count("cutoff", cutoff)
+    N = s1 / (1.0 - s1)
+    if kind == ATTENUATE:
+        G = 1.0 + k * k * N
+        eta = (1.0 - k * k) / G
+    else:
+        G = k * k * (1.0 + N)
+        eta = (k * k - 1.0) / (G - 1.0)
     if cutoff is None:
-        bulk = (kappa + 1) * g / max(1.0 - g, 1e-6)
-        decay = 1.0 if g == 0.0 else -math.log(1e-14) / -math.log(g)
-        cutoff = int(shift + bulk + decay + 32)
-    probs = np.zeros(cutoff + 1)
-    lmax = cutoff - shift
-    if lmax >= 0:
-        l = np.arange(lmax + 1)
-        if g == 0.0:
-            weights = np.zeros(lmax + 1)
-            weights[0] = 1.0
-        else:
-            logw = (
-                (kappa + 1) * math.log1p(-g)
-                + l * math.log(g)
-                + gammaln(l + kappa + 1)
-                - gammaln(l + 1)
-                - gammaln(kappa + 1)
-            )
-            weights = np.exp(logw)
-        probs[shift : shift + lmax + 1] = weights
-    return DiagonalFockState(probs, cutoff, max(1.0 - float(probs.sum()), 0.0))
-
-
-def ancilla_mixture_kernel(
-    kind: str,
-    k: float,
-    weights,
-    s1: float,
-    cutoff: int | None = None,
-) -> DiagonalFockState:
-    """Convex combination of the pure-Fock-ancilla outputs (channel linearity)."""
-    weights = np.asarray(weights, dtype=float)
-    if weights.ndim != 1 or weights.size == 0:
-        raise ValueError("weights must be a nonempty vector")
-    if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
-        raise ValueError("ancilla weights must form a probability vector")
-    parts = [
-        ancilla_fock_kernel(kind, k, kappa, s1, cutoff=cutoff)
-        for kappa in range(weights.size)
-    ]
-    cut = max(p.cutoff for p in parts)
-    probs = np.zeros(cut + 1)
-    tail = 0.0
-    for w, part in zip(weights, parts):
-        probs[: part.cutoff + 1] += w * part.probs
-        tail += w * part.tail_bound
-    return DiagonalFockState(probs, cut, tail)
+        cutoff = max_level if G == 1.0 else _auto_out_cutoff(G, max_level, 1e-14)
+    levels = np.arange(max_level + 1)
+    # at s1 = 0 the gain (attenuation) or the loss (amplification) is the identity
+    loss = np.eye(max_level + 1) if eta == 1.0 else _thinning_log_columns(eta, levels, max_level)
+    if G == 1.0:
+        gain = np.eye(cutoff + 1, max_level + 1)
+    else:
+        rows = np.arange(cutoff + 1)[:, None] + (levels if kind == AMPLIFY else 0)
+        gain = _gain_log_columns(G, levels, int(rows.max()))[rows, levels]
+    return gain @ loss
 
 
 def gaussian_noise_topup(s_tilde: float, s2: float) -> float:

@@ -24,7 +24,6 @@ from .channels import AMPLIFY, ATTENUATE, normalize_kind
 from .risk import (
     GaussianProblem,
     QubitScenario,
-    RiskReport,
     classical_threshold,
     combined_risk,
     gaussian_risk,
@@ -65,19 +64,6 @@ def _emit(pairs, as_json: bool) -> None:
         _print_pairs(pairs)
 
 
-def _report_pairs(report: RiskReport) -> list:
-    return [
-        ("case", report.case),
-        ("k0_quantum", report.k0_quantum),
-        ("k0_classical", report.k0_classical),
-        ("s_tilde", report.s_tilde),
-        ("m0", report.m0),
-        ("classical_risk", report.classical_risk),
-        ("quantum_risk", report.quantum_risk),
-        ("total_risk", report.total_risk),
-    ]
-
-
 def _cmd_risk(args, parser: argparse.ArgumentParser) -> int:
     if args.qubit:
         for name in ("r0", "lam"):
@@ -87,7 +73,7 @@ def _cmd_risk(args, parser: argparse.ArgumentParser) -> int:
             parser.error("--qubit requires --k or --rate")
         scenario = QubitScenario(args.r0, args.lam, k=args.k, rate=args.rate)
         report = combined_risk(scenario, abs_tol=args.abs_tol)
-        _emit(_report_pairs(report), args.json)
+        _emit(report.as_dict().items(), args.json)
         return 0
 
     for name in ("s1", "s2", "k"):
@@ -98,7 +84,7 @@ def _cmd_risk(args, parser: argparse.ArgumentParser) -> int:
     if args.v1 is not None:
         problem = GaussianProblem(args.s1, args.s2, args.v1, args.v2, args.k)
         report = gaussian_risk(problem, abs_tol=args.abs_tol)
-        _emit(_report_pairs(report), args.json)
+        _emit(report.as_dict().items(), args.json)
         return 0
 
     # photon-statistics only: quantum side of the problem

@@ -51,6 +51,13 @@ def _check_positive(name: str, x: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {x}")
 
 
+def _check_count(name: str, n, least: int = 0) -> int:
+    # NaN, inf and fractions all fail is_integer
+    if not (float(n).is_integer() and n >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {n}")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class DiagonalFockState:
     """Photon-number distribution truncated at ``cutoff``.

@@ -28,10 +28,9 @@ from .channels import (
     ATTENUATE,
     _check_k,
     amplify_kernel,
-    ancilla_fock_kernel,
-    ancilla_mixture_kernel,
     attenuate_kernel,
     channel_s_tilde,
+    fock_ancilla_outputs,
     gain_matrix,
     gaussian_noise_topup,
     normalize_kind,
@@ -39,6 +38,9 @@ from .channels import (
 )
 from .fock import (
     DiagonalFockState,
+    _check_count,
+    _check_positive,
+    _check_thermal,
     displacement_matrix,
     displacement_matrix_element,
     l1_distance,
@@ -93,6 +95,8 @@ class AncillaCandidate:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a nonempty vector")
+        if not np.all(np.isfinite(w)):
+            raise ValueError(f"weights must be finite, got {w}")
         if np.any(w < -1e-12):
             raise ValueError("weights must be nonnegative")
         total = float(w.sum())
@@ -304,8 +308,7 @@ def simulate_channel(
     """
     kind = normalize_kind(kind)
     k = _check_k(kind, k, closed=True)
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
+    cutoff = _check_count("cutoff", cutoff)
     out, beyond = _channel_outputs(kind, k, state.probs[None], ancilla.weights[None], cutoff)
     return DiagonalFockState(out[0, 0], cutoff, state.tail_bound + max(float(beyond[0, 0]), 0.0))
 
@@ -319,6 +322,8 @@ def kraus_operators(kind: str, k: float, in_cutoff: int, out_cutoff: int) -> lis
     """
     kind = normalize_kind(kind)
     k = _check_k(kind, k, closed=True)
+    in_cutoff = _check_count("in_cutoff", in_cutoff)
+    out_cutoff = _check_count("out_cutoff", out_cutoff)
     if kind == ATTENUATE:
         theta = math.acos(k)
         amps = [_bs_block(theta, n)[:, 0] for n in range(in_cutoff + 1)]
@@ -349,6 +354,7 @@ def assemble_two_mode_unitary(kind: str, k: float, cutoff: int) -> tuple[np.ndar
     """
     kind = normalize_kind(kind)
     k = _check_k(kind, k, closed=True)
+    cutoff = _check_count("cutoff", cutoff)
     size = cutoff + 1
     U = np.zeros((size * size, size * size))
     max_leak = 0.0
@@ -447,27 +453,22 @@ def check_stochastic_ordering(
 ) -> OrderingReport:
     """Verify the vacuum output is stochastically smallest among Fock ancillas.
 
-    For every ancilla level kappa <= kappa_max and every photon count m,
-    the vacuum-output CDF must dominate: sum_{l<=m} p0_l >= sum_{l<=m}
+    The output laws for ancillas |0>, ..., |kappa_max> come from
+    channels.fock_ancilla_outputs (loss followed by amplification, seen
+    from the ancilla; run_verification_suite checks that law against the
+    two-mode unitary).  For every level and every photon count m the
+    vacuum-output CDF must dominate: sum_{l<=m} p0_l >= sum_{l<=m}
     pkappa_l.  Returns the worst margin and, if negative beyond 1e-12,
     the (kappa, m) witness.
     """
-    if kappa_max < 1:
-        raise ValueError("kappa_max must be at least 1")
-    cutoff = ancilla_fock_kernel(kind, k, kappa_max, s1).cutoff
-    base = ancilla_fock_kernel(kind, k, 0, s1, cutoff=cutoff)
-    cum_vac = np.cumsum(base.probs)
-    worst = math.inf
-    witness: Optional[tuple[int, int]] = None
-    for kappa in range(kappa_max + 1):
-        other = ancilla_fock_kernel(kind, k, kappa, s1, cutoff=cutoff)
-        margins = cum_vac - np.cumsum(other.probs)
-        m_idx = int(np.argmin(margins))
-        if margins[m_idx] < worst:
-            worst = float(margins[m_idx])
-            witness = (kappa, m_idx)
-    ok_witness = None if worst >= -1e-12 else witness
-    return OrderingReport(normalize_kind(kind), float(k), float(s1), kappa_max, worst, ok_witness)
+    kappa_max = _check_count("kappa_max", kappa_max, least=1)
+    cdf = np.cumsum(fock_ancilla_outputs(kind, k, s1, kappa_max), axis=0)
+    # rows kappa, columns m; argmin takes the first (kappa, m) at the minimum
+    margins = (cdf[:, :1] - cdf).T
+    kappa, m = np.unravel_index(int(np.argmin(margins)), margins.shape)
+    worst = float(margins[kappa, m])
+    witness = None if worst >= -1e-12 else (int(kappa), int(m))
+    return OrderingReport(normalize_kind(kind), float(k), float(s1), kappa_max, worst, witness)
 
 
 @dataclass(frozen=True)
@@ -526,6 +527,10 @@ def ancilla_optimality_search(
     """
     kind = normalize_kind(kind)
     k = _check_k(kind, k, closed=True)
+    s1 = _check_thermal("s1", s1)
+    s2 = _check_thermal("s2", s2)
+    max_level = _check_count("max_level", max_level)
+    samples = _check_count("samples", samples)
     n_in = _thermal_cutoff(s1, 1e-13)
     if kind == ATTENUATE:
         out_cut = n_in + max_level
@@ -632,6 +637,7 @@ def verify_noise_topup(
     displacements; the L1 gap must stay within 3/sqrt(samples).
     """
     v = gaussian_noise_topup(s_tilde, s2)
+    samples = _check_count("samples", samples, least=1)
     cutoff = max(_thermal_cutoff(s2, 1e-14), 20)
     target = thermal_state(s2, cutoff).probs
     if v == 0.0:
@@ -797,6 +803,11 @@ def case4_risk_quad(
     risk.case4_risk, once s_t^(n+1) + s2^(n+1) < abs_tol / 4.  Raises
     RuntimeError if the summed error estimates and tail exceed abs_tol.
     """
+    _check_thermal("s_t", s_t)
+    _check_thermal("s2", s2)
+    _check_positive("var1", var1)
+    _check_positive("var2", var2)
+    _check_positive("abs_tol", abs_tol)
     sig1, sig2 = math.sqrt(var1), math.sqrt(var2)
     L = _TAIL_SIGMAS * max(sig1, sig2)
     total = 0.0
@@ -1055,16 +1066,22 @@ def _check_stochastic_ordering(rng: np.random.Generator, fast: bool) -> dict:
     for _ in range(5 if fast else 15):
         w = rng.dirichlet(np.ones(6))
         k = float(rng.uniform(0.2, 0.9))
-        cutoff = ancilla_fock_kernel(ATTENUATE, k, 5, 0.5).cutoff
-        vac = ancilla_fock_kernel(ATTENUATE, k, 0, 0.5, cutoff=cutoff)
-        mixed = ancilla_mixture_kernel(ATTENUATE, k, w, 0.5, cutoff=cutoff)
-        mix_worst = min(mix_worst, float(np.min(np.cumsum(vac.probs) - np.cumsum(mixed.probs))))
-    ok = worst >= -1e-12 and mix_worst >= -1e-12
+        cdf = np.cumsum(fock_ancilla_outputs(ATTENUATE, k, 0.5, 5), axis=0)
+        mix_worst = min(mix_worst, float(np.min(cdf[:, 0] - cdf @ w)))
+    # the ordered law itself, against the two-mode unitary
+    law_err = 0.0
+    src = thermal_state(0.5, _thermal_cutoff(0.5, 1e-14))
+    for kind, k in ((ATTENUATE, 0.6), (AMPLIFY, 1.5)):
+        outs = fock_ancilla_outputs(kind, k, 0.5, 10)
+        ref, _ = _channel_outputs(kind, k, src.probs[None], np.eye(11), outs.shape[0] - 1)
+        law_err = max(law_err, float(np.max(np.abs(ref[0].T - outs))))
+    ok = worst >= -1e-12 and mix_worst >= -1e-12 and law_err <= 1e-12
     return _report(
         "stochastic_ordering",
         ok,
         worst_margin=worst,
         mixture_worst_margin=mix_worst,
+        law_vs_unitary_err=law_err,
         witness=None if ok else repr(witness),
         grid_points=n_grid,
     )

@@ -399,11 +399,11 @@ class RiskReport:
             "case": self.case,
             "k0_quantum": self.k0_quantum,
             "k0_classical": self.k0_classical,
+            "s_tilde": self.s_tilde,
+            "m0": self.m0,
             "classical_risk": self.classical_risk,
             "quantum_risk": self.quantum_risk,
             "total_risk": self.total_risk,
-            "m0": self.m0,
-            "s_tilde": self.s_tilde,
         }
 
 

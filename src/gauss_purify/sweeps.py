@@ -129,23 +129,19 @@ def _plan_fig3(config: SweepConfig, kind: str) -> _Plan:
     s2s = _grid(config, "s2", (0.02, 0.98, 49))
     points = [(float(a), float(b)) for a in s1s for b in s2s]
 
+    # outside the threshold's domain quantum_threshold raises, and
+    # run_sweep writes the point as a nan row
     if kind == ATTENUATE:
         header = ["s1", "s2", "k0"]
 
         def row(point: tuple) -> list:
-            a, b = point
-            if a < b:
-                return [a, b, float("nan")]
-            return [a, b, quantum_threshold(ATTENUATE, a, b)]
+            return [*point, quantum_threshold(ATTENUATE, *point)]
 
     else:
         header = ["s1", "s2", "k0_inv"]
 
         def row(point: tuple) -> list:
-            a, b = point
-            if a > b:
-                return [a, b, float("nan")]
-            return [a, b, 1.0 / quantum_threshold(AMPLIFY, a, b)]
+            return [*point, 1.0 / quantum_threshold(AMPLIFY, *point)]
 
     return _Plan(header, [("kind", kind)], points, row)
 
@@ -157,7 +153,7 @@ def _plan_fig4(config: SweepConfig) -> _Plan:
 
     def row(point: tuple) -> list:
         r, lam = point
-        lt = min(1.0, (1.0 - r) / r)
+        lt = QubitScenario(r, lam).lambda_tilde
         return [r, lam, lt, int(lam < lt)]
 
     return _Plan(["r0", "lam", "lambda_tilde", "classical_first"], [], points, row)

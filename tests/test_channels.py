@@ -14,17 +14,17 @@ from gauss_purify.channels import (
     ATTENUATE,
     ClassicalGaussian,
     amplify_kernel,
-    ancilla_fock_kernel,
-    ancilla_mixture_kernel,
     attenuate_kernel,
     channel_s_tilde,
     classical_channel,
+    fock_ancilla_outputs,
     gain_matrix,
     gaussian_noise_topup,
     normalize_kind,
     thinning_matrix,
 )
 from gauss_purify.fock import l1_distance, thermal_state, vacuum_state
+from gauss_purify.oracles import _channel_outputs, _thermal_cutoff
 
 att_ks = st.floats(min_value=0.05, max_value=0.95)
 amp_ks = st.floats(min_value=1.05, max_value=3.0)
@@ -144,34 +144,27 @@ def test_s_tilde_amplification_grows(s1, k):
     assert s1 - 1e-15 <= st_val < 1.0
 
 
-def test_ancilla_fock_kernel_is_negative_binomial():
-    # transformed-picture weights: NB(kappa+1, 1-g) at l, shifted by kappa
-    # for attenuation and unshifted for amplification
-    for kind, k, shift_by_kappa in ((ATTENUATE, 0.6, True), (AMPLIFY, 1.4, False)):
-        g = channel_s_tilde(kind, 0.5, k)
-        for kappa in (0, 1, 4):
-            out = ancilla_fock_kernel(kind, k, kappa, 0.5)
-            shift = kappa if shift_by_kappa else 0
-            l = np.arange(out.cutoff + 1 - shift)
-            want = nbinom.pmf(l, kappa + 1, 1.0 - g)
-            assert np.max(np.abs(out.probs[shift:] - want)) < 1e-13
-            assert not out.probs[:shift].any()
+@pytest.mark.parametrize(
+    "kind, k",
+    [(ATTENUATE, 0.3), (ATTENUATE, 0.6), (ATTENUATE, 0.9), (AMPLIFY, 1.2), (AMPLIFY, 1.5), (AMPLIFY, 2.3)],
+)
+@pytest.mark.parametrize("s1", [0.0, 0.3, 0.7])
+def test_fock_ancilla_outputs_match_two_mode_unitary(kind, k, s1):
+    # loss followed by amplification, seen from the ancilla, must give
+    # what the two-mode beamsplitter or squeezer gives level by level
+    outs = fock_ancilla_outputs(kind, k, s1, 4)
+    # the input's cut tail (<= 1e-14) bounds what truncation moves any entry
+    src = thermal_state(s1, _thermal_cutoff(s1, 1e-14))
+    ref, _ = _channel_outputs(kind, k, src.probs[None], np.eye(5), outs.shape[0] - 1)
+    assert np.max(np.abs(ref[0].T - outs)) <= 1e-13
 
 
-def test_ancilla_vacuum_matches_thermal_output():
-    out = ancilla_fock_kernel(ATTENUATE, 0.6, 0, 0.5, cutoff=120)
-    st_val = channel_s_tilde(ATTENUATE, 0.5, 0.6)
-    assert np.max(np.abs(out.probs - thermal_state(st_val, 120).probs)) < 1e-15
-
-
-def test_ancilla_mixture_is_convex_combination():
-    weights = [0.5, 0.3, 0.2]
-    mix = ancilla_mixture_kernel(AMPLIFY, 1.3, weights, 0.4, cutoff=200)
-    parts = [ancilla_fock_kernel(AMPLIFY, 1.3, i, 0.4, cutoff=200) for i in range(3)]
-    want = sum(w * p.probs for w, p in zip(weights, parts))
-    assert np.max(np.abs(mix.probs - want)) < 1e-15
-    with pytest.raises(ValueError):
-        ancilla_mixture_kernel(AMPLIFY, 1.3, [0.7, 0.7], 0.4)
+@pytest.mark.parametrize("kind, k", [(ATTENUATE, 0.6), (AMPLIFY, 1.4)])
+@pytest.mark.parametrize("s1", [0.0, 0.5])
+def test_fock_ancilla_vacuum_column_is_thermal(kind, k, s1):
+    outs = fock_ancilla_outputs(kind, k, s1, 3)
+    want = thermal_state(channel_s_tilde(kind, s1, k), outs.shape[0] - 1).probs
+    assert np.max(np.abs(outs[:, 0] - want)) <= 1e-15
 
 
 def test_noise_topup_worked_values():
@@ -226,16 +219,16 @@ def test_gain_matrix_unit_limit_first_order():
     assert dev[1e-5] / dev[1e-6] == pytest.approx(10.0, rel=0.05)
 
 
-def test_ancilla_level_one_worked_weights():
-    # att with s1 = 0.5, k = 0.5: g = 0.2, weights 0.64 * 0.2^l (l+1)
-    # sitting at photon number l + 1
-    out = ancilla_fock_kernel(ATTENUATE, 0.5, 1, 0.5, cutoff=50)
-    l = np.arange(50)
-    want = np.zeros(51)
-    want[1:] = 0.64 * 0.2**l * (l + 1)
-    assert out.probs[0] == 0.0
-    assert np.max(np.abs(out.probs - want)) <= 1e-13
-    assert math.fsum(out.probs) == pytest.approx(1.0, abs=1e-13)
+def test_fock_ancilla_level_one_worked_weights():
+    # att with s1 = 0.5, k = 0.5: N = 1, G = 1.25, eta = 0.6, and the
+    # one photon survives the loss with probability 0.6, so
+    # P(m) = 0.4 * 0.8 * 0.2^m + 0.6 * 0.64 * m * 0.2^(m-1)
+    outs = fock_ancilla_outputs(ATTENUATE, 0.5, 0.5, 1, cutoff=50)
+    m = np.arange(51)
+    want = 0.32 * 0.2**m + 0.384 * m * 0.2 ** np.maximum(m - 1, 0)
+    assert np.max(np.abs(outs[:, 1] - want)) <= 1e-15
+    assert np.max(np.abs(outs[:4, 1] - [0.32, 0.448, 0.1664, 0.04864])) <= 1e-15
+    assert math.fsum(outs[:, 1]) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_classical_channel_worked_examples():

@@ -27,9 +27,13 @@ from gauss_purify.channels import (
 from gauss_purify.fock import from_probs, thermal_state
 from gauss_purify.oracles import (
     AncillaCandidate,
+    ancilla_optimality_search,
     assemble_two_mode_unitary,
+    case4_risk_quad,
+    check_stochastic_ordering,
     kraus_operators,
     simulate_channel,
+    verify_noise_topup,
 )
 from gauss_purify.risk import (
     GaussianProblem,
@@ -365,6 +369,19 @@ def _two_level_state(probs, tail_bound=0.0):
     return from_probs([probs, 0.5], tail_bound=tail_bound)
 
 
+def _one_level_ancilla(weights):
+    """AncillaCandidate([weights]): the bad value is the whole simplex point."""
+    return AncillaCandidate(np.array([weights]))
+
+
+def _two_level_ancilla(weights):
+    """AncillaCandidate([0.5, weights]): a bad value in one level."""
+    return AncillaCandidate(np.array([0.5, weights]))
+
+
+_NONFINITE = (math.nan, math.inf, -math.inf)
+
+
 _NONFINITE_CASES = [
     (thermal_state, dict(s=0.5, cutoff=5), ["s"]),
     (_two_level_state, dict(probs=0.5), ["probs"]),
@@ -404,14 +421,63 @@ _NONFINITE_CASES = [
     (kraus_operators, dict(kind="amp", k=1.5, in_cutoff=3, out_cutoff=5), ["k"]),
     (assemble_two_mode_unitary, dict(kind="amp", k=1.5, cutoff=3), ["k"]),
     (ClassicalGaussian, dict(mean=0.0, variance=1.0), ["mean", "variance"]),
+    (
+        case4_risk_quad,
+        dict(s_t=0.5, s2=0.3, var1=1.5, var2=1.0),
+        ["s_t", "s2", "var1", "var2", "abs_tol"],
+    ),
+    (_one_level_ancilla, dict(weights=1.0), ["weights"]),
+    (_two_level_ancilla, dict(weights=0.5), ["weights"]),
+    (
+        ancilla_optimality_search,
+        dict(kind="att", k=0.6, s1=0.8, s2=0.4, max_level=1, samples=10),
+        ["s1", "s2"],
+    ),
+    # counts: a fourth entry replaces the non-finite values with its own
+    (
+        ancilla_optimality_search,
+        dict(kind="att", k=0.6, s1=0.8, s2=0.4, max_level=1, samples=10),
+        ["max_level", "samples"],
+        (-1, 0.5, *_NONFINITE),
+    ),
+    (
+        check_stochastic_ordering,
+        dict(kind="amp", k=1.5, s1=0.5, kappa_max=3),
+        ["kappa_max"],
+        (0, *_NONFINITE),
+    ),
+    (verify_noise_topup, dict(s_tilde=0.2, s2=0.5, samples=100), ["samples"], (0, -1, *_NONFINITE)),
+    (
+        kraus_operators,
+        dict(kind="att", k=0.5, in_cutoff=3, out_cutoff=3),
+        ["in_cutoff", "out_cutoff"],
+        (-1, 2.5, *_NONFINITE),
+    ),
+    (assemble_two_mode_unitary, dict(kind="att", k=0.5, cutoff=3), ["cutoff"], (-1, *_NONFINITE)),
+    (
+        simulate_channel,
+        dict(
+            kind="att",
+            k=0.5,
+            state=thermal_state(0.3, 5),
+            ancilla=AncillaCandidate.vacuum(),
+            cutoff=5,
+        ),
+        ["cutoff"],
+        (-1, *_NONFINITE),
+    ),
 ]
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize(
-    "fn, base, name",
-    [(fn, base, name) for fn, base, names in _NONFINITE_CASES for name in names],
-    ids=lambda v: v.__name__ if callable(v) else v if isinstance(v, str) else "",
+    "fn, base, name, bad",
+    [
+        (fn, base, name, bad)
+        for fn, base, names, *bads in _NONFINITE_CASES
+        for name in names
+        for bad in (bads[0] if bads else _NONFINITE)
+    ],
+    ids=lambda v: v.__name__ if callable(v) else "" if isinstance(v, dict) else str(v),
 )
 def test_nonfinite_parameters_raise_naming_them(fn, base, name, bad):
     with pytest.raises(ValueError, match=f"^{name} must "):
