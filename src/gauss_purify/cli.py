@@ -34,21 +34,7 @@ from .risk import (
     rate_branch,
     s_tilde,
 )
-from .sweeps import FIGURE_TARGETS, SweepConfig, run_sweep
-
-_NUM = "%.12g"
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return "none"
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return _NUM % value
-    return str(value)
+from .sweeps import FIGURE_TARGETS, SweepConfig, _fmt, run_sweep
 
 
 def _print_pairs(pairs) -> None:

@@ -220,29 +220,41 @@ def l1_distance(p: DiagonalFockState, q: DiagonalFockState) -> L1Distance:
     return L1Distance(value, p.tail_bound + q.tail_bound)
 
 
-def _laguerre_log_element(lo: int, d: int, x: float, log_scale: float) -> float:
-    """exp(log_scale) * L_lo^(d)(x) evaluated without over/underflow.
+def _displacement_entries(m, n, alpha: complex) -> np.ndarray:
+    """Entries <m|W_alpha|n> for broadcast integer arrays m, n and alpha != 0.
 
-    The Laguerre value itself stays within double range for the orders
-    used here (lo, d <= 500, x <= ~10); only the combined product with
-    the log-domain prefactor is delicate, so the two are merged in log
-    space before exponentiating.
+    Associated-Laguerre closed form with the factorials and the power of
+    |alpha| kept in the log domain, so high orders neither overflow nor
+    lose the phase: |<m|W|n>| = exp(log_scale) |L_lo^(d)(|alpha|^2)| with
+    lo = min(m, n), d = |m - n|.  The Laguerre value itself stays within
+    double range for the orders used here (lo, d <= 500, |alpha|^2 <= ~10).
     """
-    from scipy.special import eval_genlaguerre
+    from scipy.special import eval_genlaguerre, gammaln
 
-    lag = float(eval_genlaguerre(lo, d, x))
-    if lag == 0.0 or not math.isfinite(lag):
-        # Fall back to direct product when the closed form degenerates.
-        return lag * math.exp(log_scale)
-    return math.copysign(math.exp(log_scale + math.log(abs(lag))), lag)
+    absa = abs(alpha)
+    x = absa * absa
+    lo = np.minimum(m, n)
+    d = np.abs(m - n)
+    lag = eval_genlaguerre(lo, d, x)
+    log_scale = 0.5 * (gammaln(lo + 1) - gammaln(lo + d + 1)) + d * np.log(absa) - x / 2.0
+    with np.errstate(divide="ignore"):  # log(0) where the Laguerre vanishes
+        mag = np.sign(lag) * np.exp(log_scale + np.log(np.abs(lag)))
+    mag = np.where(lag == 0.0, 0.0, mag)
+    ang = np.angle(alpha)
+    # Phase differs between the raising (m >= n) and lowering triangles:
+    # alpha^(m-n) against (-conj(alpha))^(n-m).
+    signed_d = np.where(m >= n, d, 0) * ang + np.where(m < n, d, 0) * np.angle(
+        -np.conj(alpha)
+    )
+    return mag * np.exp(1j * signed_d)
 
 
 def displacement_matrix_element(m: int, n: int, alpha: complex) -> complex:
     """Matrix element <m| exp(alpha a^dag - conj(alpha) a) |n>.
 
-    Uses the associated-Laguerre closed form with factorials kept in the
-    log domain, which is overflow-safe at least up to m, n = 500 for
-    moderate displacements.  The magnitude of the result never exceeds 1.
+    The single entry of `displacement_matrix` at (m, n), computed alone;
+    overflow-safe at least up to m, n = 500 for moderate displacements.
+    The magnitude of the result never exceeds 1.
 
     Parameters
     ----------
@@ -255,23 +267,12 @@ def displacement_matrix_element(m: int, n: int, alpha: complex) -> complex:
     -------
     complex
     """
-    from scipy.special import gammaln
-
     if m < 0 or n < 0:
         raise ValueError("photon numbers must be nonnegative")
     alpha = complex(alpha)
     if alpha == 0:
         return 1.0 + 0.0j if m == n else 0.0 + 0.0j
-    absa = abs(alpha)
-    x = absa * absa
-    lo, hi = (n, m) if m >= n else (m, n)
-    d = hi - lo
-    log_scale = 0.5 * (gammaln(lo + 1) - gammaln(hi + 1)) + d * math.log(absa) - x / 2.0
-    mag = _laguerre_log_element(lo, d, x, log_scale)
-    # Raising column: alpha^(m-n); lowering column: (-conj(alpha))^(n-m).
-    base = alpha if m >= n else -np.conj(alpha)
-    phase = np.exp(1j * d * np.angle(base)) if d else 1.0
-    return mag * phase
+    return complex(_displacement_entries(np.asarray(m), np.asarray(n), alpha))
 
 
 def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
@@ -281,27 +282,10 @@ def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
     norms measure the truncation directly: 1 - sum_m |W[m, n]|^2 is the
     mass pushed past the cutoff.
     """
-    from scipy.special import eval_genlaguerre, gammaln
-
     if dim <= 0:
         raise ValueError("dim must be positive")
     alpha = complex(alpha)
     if alpha == 0:
         return np.eye(dim, dtype=complex)
-    absa = abs(alpha)
-    x = absa * absa
     idx = np.arange(dim)
-    mm, nn = np.meshgrid(idx, idx, indexing="ij")
-    lo = np.minimum(mm, nn)
-    d = np.abs(mm - nn)
-    lag = eval_genlaguerre(lo, d, x)
-    log_scale = 0.5 * (gammaln(lo + 1) - gammaln(lo + d + 1)) + d * np.log(absa) - x / 2.0
-    with np.errstate(divide="ignore"):  # log(0) where the Laguerre vanishes
-        mag = np.sign(lag) * np.exp(log_scale + np.log(np.abs(lag)))
-    mag = np.where(lag == 0.0, 0.0, mag)
-    ang = np.angle(alpha)
-    # Phase differs between the raising (m >= n) and lowering triangles.
-    signed_d = np.where(mm >= nn, d, 0) * ang + np.where(mm < nn, d, 0) * np.angle(
-        -np.conj(alpha)
-    )
-    return mag * np.exp(1j * signed_d)
+    return _displacement_entries(idx[:, None], idx[None, :], alpha)

@@ -43,14 +43,17 @@ _NUM = "%.12g"
 
 
 def _fmt(value) -> str:
+    """One output value as text: 12 significant digits for numbers,
+    `none` for None and `true`/`false` for bools (the CLI's spellings)."""
+    if value is None:
+        return "none"
     if isinstance(value, str):
         return value
-    if value is None:
-        return "nan"
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value)).lower()
+    if isinstance(value, (int, np.integer)):
         return str(int(value))
-    x = float(value)
-    return "nan" if math.isnan(x) else _NUM % x
+    return _NUM % float(value)
 
 
 def worker_count(explicit: Optional[int] = None) -> int:
@@ -173,53 +176,43 @@ def _plan_fig5(config: SweepConfig) -> _Plan:
     return _Plan(["r0", "r_out", "lam", "branch", "rate"], [], points, row)
 
 
-def _plan_fig6(config: SweepConfig, r0: float, lam: float, k_range) -> _Plan:
-    r0 = _fixed(config, "r0", r0)
-    lam = _fixed(config, "lam", lam)
-    ks = _grid(config, "k", k_range)
-    kq, kc, lt = qubit_thresholds(QubitScenario(r0, lam))
+_RISK_HEADER = ["k", "case", "s_tilde", "classical_risk", "quantum_risk", "total_risk"]
+
+
+def _risk_plan(meta: list, ks: np.ndarray, report: Callable) -> _Plan:
+    """k sweep writing the RiskReport `report(k)` of every grid point."""
 
     def row(k: float) -> list:
-        rep = combined_risk(QubitScenario(r0, lam, k=k))
-        return [
-            k,
-            rep.case,
-            rep.s_tilde,
-            rep.classical_risk,
-            rep.quantum_risk,
-            rep.total_risk,
-        ]
+        rep = report(k)
+        return [k, *(getattr(rep, name) for name in _RISK_HEADER[1:])]
 
-    meta = [
+    return _Plan(_RISK_HEADER, meta, [float(k) for k in ks], row)
+
+
+def _qubit_risk_plan(meta: list, r0: float, lam: float, ks: np.ndarray) -> _Plan:
+    kq, kc, lt = qubit_thresholds(QubitScenario(r0, lam))
+    meta = meta + [
         ("fixed", f"r0={_NUM % r0},lam={_NUM % lam}"),
         ("k0_quantum", repr(kq)),
         ("k0_classical", repr(kc)),
         ("lambda_tilde", repr(lt)),
     ]
-    header = ["k", "case", "s_tilde", "classical_risk", "quantum_risk", "total_risk"]
-    return _Plan(header, meta, [float(k) for k in ks], row)
+    return _risk_plan(meta, ks, lambda k: combined_risk(QubitScenario(r0, lam, k=k)))
+
+
+def _plan_fig6(config: SweepConfig, r0: float, lam: float, k_range) -> _Plan:
+    r0 = _fixed(config, "r0", r0)
+    lam = _fixed(config, "lam", lam)
+    return _qubit_risk_plan([], r0, lam, _grid(config, "k", k_range))
 
 
 def _plan_custom(config: SweepConfig) -> _Plan:
-    header = ["k", "case", "s_tilde", "classical_risk", "quantum_risk", "total_risk"]
     if config.mode == "qubit":
         r0 = _fixed(config, "r0", None)
         lam = _fixed(config, "lam", None)
-        kq, kc, lt = qubit_thresholds(QubitScenario(r0, lam))
+        _, kc, _ = qubit_thresholds(QubitScenario(r0, lam))
         ks = _grid(config, "k", (0.02, max(2.0, kc * 1.5), 100))
-
-        def row(k: float) -> list:
-            rep = combined_risk(QubitScenario(r0, lam, k=k))
-            return [k, rep.case, rep.s_tilde, rep.classical_risk, rep.quantum_risk, rep.total_risk]
-
-        meta = [
-            ("mode", "qubit"),
-            ("fixed", f"r0={_NUM % r0},lam={_NUM % lam}"),
-            ("k0_quantum", repr(kq)),
-            ("k0_classical", repr(kc)),
-            ("lambda_tilde", repr(lt)),
-        ]
-        return _Plan(header, meta, [float(k) for k in ks], row)
+        return _qubit_risk_plan([("mode", "qubit")], r0, lam, ks)
     if config.mode == "gaussian":
         s1 = _fixed(config, "s1", None)
         s2 = _fixed(config, "s2", None)
@@ -227,17 +220,12 @@ def _plan_custom(config: SweepConfig) -> _Plan:
         V2 = _fixed(config, "V2", None)
         kc = classical_threshold(V1, V2)
         ks = _grid(config, "k", (0.02, max(2.0, kc * 1.5), 100))
-
-        def row(k: float) -> list:
-            rep = gaussian_risk(GaussianProblem(s1, s2, V1, V2, k))
-            return [k, rep.case, rep.s_tilde, rep.classical_risk, rep.quantum_risk, rep.total_risk]
-
         meta = [
             ("mode", "gaussian"),
             ("fixed", f"s1={_NUM % s1},s2={_NUM % s2},V1={_NUM % V1},V2={_NUM % V2}"),
             ("k0_classical", repr(kc)),
         ]
-        return _Plan(header, meta, [float(k) for k in ks], row)
+        return _risk_plan(meta, ks, lambda k: gaussian_risk(GaussianProblem(s1, s2, V1, V2, k)))
     raise ValueError(f"unknown custom mode {config.mode!r}")
 
 

@@ -46,6 +46,13 @@ def test_risk_gaussian_below_threshold():
     assert abs(float(pairs["k0_quantum"]) - 0.408248290464) < 1e-9
 
 
+def test_risk_gaussian_unordered_pair_prints_no_threshold():
+    # attenuation cannot reach a hotter target (s1 < s2): no quantum threshold
+    proc = run_cli("risk", "--gaussian", "--kind", "att", "--s1", "0.3", "--s2", "0.5", "--k", "0.7")
+    assert "k0_quantum   : none\n" in proc.stdout
+    assert parse_pairs(proc.stdout)["kind"] == "att"
+
+
 def test_risk_gaussian_full_report():
     proc = run_cli(
         "risk", "--gaussian", "--s1", "0.5", "--s2", "0.1111111111111111",

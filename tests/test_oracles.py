@@ -137,6 +137,20 @@ def test_amplifier_unitary_is_symmetric_under_mode_swap():
     assert np.array_equal(U[np.ix_(swap, swap)], U)
 
 
+@pytest.mark.parametrize("kind, k, sectors", [(ATTENUATE, 0.6, range(5)), (AMPLIFY, 1.3, range(-3, 4))])
+def test_ladder_index_inverts_the_sector_map(kind, k, sectors):
+    # row i of every yielded ladder is the state at ladder index i of its sector
+    needs = {s: [0] for s in sectors}
+    seen = []
+    for sector, na, nb, cols in oracles._sectors(kind, k, needs, 6):
+        got, index = oracles._ladder_index(kind, na, nb)
+        assert np.all(got == sector)
+        assert np.array_equal(index, np.arange(na.size))
+        assert cols.shape == (na.size, 1)
+        seen.append(sector)
+    assert sorted(seen) == list(sectors)
+
+
 def test_one_decomposition_per_ladder_per_call(monkeypatch):
     calls = []
     real = oracles.eigh_tridiagonal
@@ -178,10 +192,29 @@ def test_fock_ancilla_changes_output():
     assert np.max(np.abs(vac.padded(11) - one.probs)) > 1e-3
 
 
-def test_kraus_operators_resolve_identity():
-    ops = kraus_operators(ATTENUATE, 0.6, 20, 20)
+@pytest.mark.parametrize(
+    "kind, k, out_cutoff", [(ATTENUATE, 0.6, 20), (AMPLIFY, 1.3, 200)], ids=[ATTENUATE, AMPLIFY]
+)
+def test_kraus_operators_resolve_identity(kind, k, out_cutoff):
+    # the amplifier spreads |n> over m >= n, so its output cutoff must hold
+    # the geometric tail of every input column
+    ops = kraus_operators(kind, k, 20, out_cutoff)
     total = sum(B.T @ B for B in ops)
     assert np.max(np.abs(total - np.eye(21))) < 1e-12
+
+
+@pytest.mark.parametrize("kind, k", [(ATTENUATE, 0.6), (AMPLIFY, 1.2)])
+def test_kraus_operators_are_vacuum_ancilla_blocks_of_the_unitary(kind, k):
+    # B_j[m, n] = <m, j| U |n, 0>; both come from the ladder of |n, 0>,
+    # which the unitary may run longer, so they agree to rounding
+    cutoff = 6
+    size = cutoff + 1
+    U, _ = assemble_two_mode_unitary(kind, k, cutoff)
+    ops = kraus_operators(kind, k, cutoff, cutoff)
+    assert len(ops) == size
+    m, n = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
+    for j, B in enumerate(ops):
+        assert np.max(np.abs(B - U[m * size + j, n * size])) <= 1e-14
 
 
 def test_stochastic_ordering_small():
