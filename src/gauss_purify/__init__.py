@@ -46,7 +46,6 @@ from .risk import (
     quantum_threshold,
     qubit_thresholds,
     rate_branch,
-    s_tilde,
 )
 
 __version__ = "0.1.0"
@@ -84,7 +83,6 @@ __all__ = [
     "geometric_l1",
     "quantum_threshold",
     "classical_threshold",
-    "s_tilde",
     "quantum_minimax_risk",
     "classical_minimax_risk",
     "case4_risk",

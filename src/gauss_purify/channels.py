@@ -90,10 +90,13 @@ def channel_s_tilde(kind: str, s1: float, k: float) -> float:
     """Thermal parameter after the channel: thermal(s1) -> thermal(s~).
 
     s~_att = s1 k^2 / (1 - s1 + s1 k^2) and s~_amp = 1 - (1 - s1) / k^2.
+    k must lie in the kind's closed regime, 0 < k <= 1 for attenuation
+    and 1 <= k < inf for amplification, so s~ stays in [0, 1);
+    ValueError naming k otherwise.
     """
     kind = normalize_kind(kind)
     _check_thermal("s1", s1)
-    _check_positive("k", k)
+    k = _check_k(kind, k, closed=True)
     if kind == ATTENUATE:
         return s1 * k * k / (1.0 - s1 + s1 * k * k)
     return 1.0 - (1.0 - s1) / (k * k)

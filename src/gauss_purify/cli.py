@@ -20,7 +20,7 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .channels import AMPLIFY, ATTENUATE, normalize_kind
+from .channels import AMPLIFY, ATTENUATE, channel_s_tilde, normalize_kind
 from .risk import (
     GaussianProblem,
     QubitScenario,
@@ -32,7 +32,6 @@ from .risk import (
     quantum_threshold,
     qubit_thresholds,
     rate_branch,
-    s_tilde,
 )
 from .sweeps import FIGURE_TARGETS, SweepConfig, _fmt, run_sweep
 
@@ -78,7 +77,7 @@ def _cmd_risk(args, parser: argparse.ArgumentParser) -> int:
         kind = normalize_kind(args.kind)
     else:
         kind = ATTENUATE if args.k <= 1.0 else AMPLIFY
-    st = s_tilde(kind, args.s1, args.k)
+    st = channel_s_tilde(kind, args.s1, args.k)
     ordered = args.s1 >= args.s2 if kind == ATTENUATE else args.s1 <= args.s2
     pairs = [
         ("kind", kind),

@@ -15,6 +15,7 @@ factorials so that high orders neither overflow nor lose the phase.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -56,6 +57,13 @@ def _check_count(name: str, n, least: int = 0) -> int:
     if not (float(n).is_integer() and n >= least):
         raise ValueError(f"{name} must be an integer >= {least}, got {n}")
     return int(n)
+
+
+def _check_alpha(alpha) -> complex:
+    alpha = complex(alpha)
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -110,8 +118,7 @@ class DiagonalFockState:
 
     def prob(self, n: int) -> float:
         """Occupation probability of |n>, zero beyond the cutoff."""
-        if n < 0:
-            raise ValueError("photon number must be nonnegative")
+        n = _check_count("n", n)
         return float(self.probs[n]) if n <= self.cutoff else 0.0
 
     def padded(self, cutoff: int) -> np.ndarray:
@@ -160,17 +167,10 @@ def thermal_state(s: float, cutoff: int) -> DiagonalFockState:
         probs[n] = (1 - s) s**n for n <= cutoff, tail_bound = s**(cutoff+1).
     """
     s = _check_thermal("s", s)
-    if cutoff < 0:
-        raise ValueError("cutoff must be >= 0")
-    n = np.arange(cutoff + 1)
-    if s == 0.0:
-        probs = np.zeros(cutoff + 1)
-        probs[0] = 1.0
-        tail = 0.0
-    else:
-        probs = (1.0 - s) * s ** n
-        tail = s ** (cutoff + 1)
-    return DiagonalFockState(probs, cutoff, tail)
+    cutoff = _check_count("cutoff", cutoff)
+    # at s = 0, 0.0 ** 0 == 1 gives the vacuum with a zero tail
+    probs = (1.0 - s) * s ** np.arange(cutoff + 1)
+    return DiagonalFockState(probs, cutoff, s ** (cutoff + 1))
 
 
 def vacuum_state(cutoff: int = 0) -> DiagonalFockState:
@@ -180,10 +180,8 @@ def vacuum_state(cutoff: int = 0) -> DiagonalFockState:
 
 def number_state(n: int, cutoff: int | None = None) -> DiagonalFockState:
     """Fock state |n><n| as a distribution; cutoff defaults to n."""
-    if n < 0:
-        raise ValueError("photon number must be nonnegative")
-    if cutoff is None:
-        cutoff = n
+    n = _check_count("n", n)
+    cutoff = n if cutoff is None else _check_count("cutoff", cutoff)
     if cutoff < n:
         raise ValueError("cutoff must retain the occupied level")
     probs = np.zeros(cutoff + 1)
@@ -267,9 +265,9 @@ def displacement_matrix_element(m: int, n: int, alpha: complex) -> complex:
     -------
     complex
     """
-    if m < 0 or n < 0:
-        raise ValueError("photon numbers must be nonnegative")
-    alpha = complex(alpha)
+    m = _check_count("m", m)
+    n = _check_count("n", n)
+    alpha = _check_alpha(alpha)
     if alpha == 0:
         return 1.0 + 0.0j if m == n else 0.0 + 0.0j
     return complex(_displacement_entries(np.asarray(m), np.asarray(n), alpha))
@@ -282,9 +280,8 @@ def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
     norms measure the truncation directly: 1 - sum_m |W[m, n]|^2 is the
     mass pushed past the cutoff.
     """
-    if dim <= 0:
-        raise ValueError("dim must be positive")
-    alpha = complex(alpha)
+    dim = _check_count("dim", dim, least=1)
+    alpha = _check_alpha(alpha)
     if alpha == 0:
         return np.eye(dim, dtype=complex)
     idx = np.arange(dim)

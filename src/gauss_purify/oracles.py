@@ -50,7 +50,6 @@ from .fock import (
 __all__ = [
     "DEFAULT_SEED",
     "AncillaCandidate",
-    "TwoModeState",
     "OrderingReport",
     "OptimalityReport",
     "TopupReport",
@@ -58,9 +57,6 @@ __all__ = [
     "simulate_channel",
     "kraus_operators",
     "assemble_two_mode_unitary",
-    "product_two_mode_state",
-    "evolve_two_mode",
-    "partial_trace_ancilla",
     "check_stochastic_ordering",
     "ancilla_optimality_search",
     "verify_noise_topup",
@@ -119,38 +115,6 @@ class AncillaCandidate:
     @property
     def max_level(self) -> int:
         return self.weights.size - 1
-
-
-@dataclass(frozen=True)
-class TwoModeState:
-    """Density matrix on the truncated two-mode basis |n_a> x |n_b>.
-
-    matrix has shape (dim, dim) with dim = (cutoff+1)^2 and basis index
-    n_a * (cutoff+1) + n_b.  Hermiticity and positivity are enforced at
-    1e-10; the trace may fall short of 1 by the certified tail_bound.
-    """
-
-    matrix: np.ndarray
-    cutoff: int
-    tail_bound: float
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        dim = (self.cutoff + 1) ** 2
-        if m.shape != (dim, dim):
-            raise ValueError(f"matrix must be {dim}x{dim} for cutoff {self.cutoff}")
-        if np.max(np.abs(m - m.conj().T)) > 1e-10:
-            raise ValueError("matrix must be Hermitian within 1e-10")
-        if float(np.linalg.eigvalsh(m)[0]) < -1e-10:
-            raise ValueError("matrix must be positive semidefinite within 1e-10")
-        tr = float(np.real(np.trace(m)))
-        if not (1.0 - self.tail_bound - 1e-9 <= tr <= 1.0 + 1e-12):
-            raise ValueError("trace outside [1 - tail_bound, 1]")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)))
 
 
 # ---------------------------------------------------------------------------
@@ -377,45 +341,6 @@ def assemble_two_mode_unitary(kind: str, k: float, cutoff: int) -> tuple[np.ndar
         U[np.ix_(na[keep] * size + nb[keep], na[idx] * size + nb[idx])] = block
         max_leak = max(max_leak, 1.0 - float(np.min(np.sum(block * block, axis=0))))
     return U, max_leak
-
-
-def product_two_mode_state(
-    state: DiagonalFockState, ancilla: AncillaCandidate, cutoff: int
-) -> TwoModeState:
-    """Diagonal product state (input tensor ancilla) on the joint basis."""
-    if ancilla.max_level > cutoff:
-        raise ValueError("ancilla levels exceed the joint cutoff")
-    p = state.padded(cutoff) if state.cutoff < cutoff else state.probs[: cutoff + 1]
-    dropped = state.norm - float(np.sum(state.probs[: cutoff + 1]))
-    tau = np.zeros(cutoff + 1)
-    tau[: ancilla.weights.size] = ancilla.weights
-    joint = np.kron(p, tau)
-    return TwoModeState(np.diag(joint).astype(complex), cutoff, state.tail_bound + max(dropped, 0.0))
-
-
-def evolve_two_mode(kind: str, k: float, state: TwoModeState) -> TwoModeState:
-    """Conjugate a two-mode state by the (restricted) channel unitary.
-
-    Restriction makes the map trace-decreasing; the lost trace is added
-    to the tail bound.
-    """
-    U, _ = assemble_two_mode_unitary(kind, k, state.cutoff)
-    rho = U @ state.matrix @ U.T
-    rho = 0.5 * (rho + rho.conj().T)
-    lost = state.trace - float(np.real(np.trace(rho)))
-    return TwoModeState(rho, state.cutoff, state.tail_bound + max(lost, 0.0))
-
-
-def partial_trace_ancilla(state: TwoModeState) -> np.ndarray:
-    """Reduced density matrix of the principal mode (complex, dense)."""
-    size = state.cutoff + 1
-    rho4 = state.matrix.reshape(size, size, size, size)
-    return np.einsum("abcb->ac", rho4)
-
-
-def offdiagonal_mass(matrix: np.ndarray) -> float:
-    """Sum of absolute off-diagonal entries (diagonality witness)."""
-    return float(np.sum(np.abs(matrix)) - np.sum(np.abs(np.diag(matrix))))
 
 
 # ---------------------------------------------------------------------------
@@ -669,8 +594,9 @@ def verify_covariance(
     """
     kind = normalize_kind(kind)
     alphas = tuple(complex(a) for a in alpha_grid)
-    if any(abs(a) > 2.0 for a in alphas):
-        raise ValueError("covariance grid limited to |alpha| <= 2")
+    # written so that NaN fails too: every comparison with NaN is False
+    if not all(abs(a) <= 2.0 for a in alphas):
+        raise ValueError(f"alpha_grid must hold finite points with |alpha| <= 2, got {alphas}")
     if kind == ATTENUATE:
         out_cutoff = in_cutoff
     else:
@@ -974,15 +900,21 @@ def _check_diagonal_output(rng: np.random.Generator, fast: bool) -> dict:
     cutoff = 14
     anc = AncillaCandidate(np.array([0.6, 0.3, 0.1]))
     src = thermal_state(0.45, cutoff - anc.max_level)
+    size = cutoff + 1
+    tau = np.zeros(size)
+    tau[: anc.weights.size] = anc.weights
+    # diagonal product state (input tensor ancilla) on the joint basis
+    joint = np.kron(src.padded(cutoff), tau)
     worst_offdiag = 0.0
     worst_gap = 0.0
     for kind, k in ((ATTENUATE, 0.7), (AMPLIFY, 1.3)):
-        joint = product_two_mode_state(src, anc, cutoff)
-        evolved = evolve_two_mode(kind, k, joint)
-        reduced = partial_trace_ancilla(evolved)
-        worst_offdiag = max(worst_offdiag, offdiagonal_mass(reduced))
+        U, _ = assemble_two_mode_unitary(kind, k, cutoff)
+        # U diag(joint) U^T, then the trace over the ancilla mode
+        evolved = (U * joint) @ U.T
+        reduced = np.einsum("abcb->ac", evolved.reshape(size, size, size, size))
+        diag = np.diag(reduced)
+        worst_offdiag = max(worst_offdiag, float(np.sum(np.abs(reduced - np.diag(diag)))))
         fast_path = simulate_channel(kind, k, src, anc, cutoff)
-        diag = np.real(np.diag(reduced))
         upto = cutoff if kind == ATTENUATE else cutoff - anc.max_level
         worst_gap = max(worst_gap, float(np.max(np.abs(diag[: upto + 1] - fast_path.probs[: upto + 1]))))
     ok = worst_offdiag <= 1e-10 and worst_gap <= 1e-10
@@ -997,14 +929,11 @@ def _check_stochastic_ordering(rng: np.random.Generator, fast: bool) -> dict:
     worst = math.inf
     witness = None
     for s1 in s_vals:
-        for k in np.linspace(0.05, 0.95, n_grid):
-            rep = check_stochastic_ordering(ATTENUATE, float(k), s1, 10)
-            if rep.worst_margin < worst:
-                worst, witness = rep.worst_margin, (ATTENUATE, float(k), s1, rep.witness)
-        for k in np.linspace(1.05, 2.5, n_grid):
-            rep = check_stochastic_ordering(AMPLIFY, float(k), s1, 10)
-            if rep.worst_margin < worst:
-                worst, witness = rep.worst_margin, (AMPLIFY, float(k), s1, rep.witness)
+        for kind, k_lo, k_hi in ((ATTENUATE, 0.05, 0.95), (AMPLIFY, 1.05, 2.5)):
+            for k in np.linspace(k_lo, k_hi, n_grid):
+                rep = check_stochastic_ordering(kind, float(k), s1, 10)
+                if rep.worst_margin < worst:
+                    worst, witness = rep.worst_margin, (kind, float(k), s1, rep.witness)
     # convexity: mixtures inherit the ordering from the pure levels
     mix_worst = math.inf
     for _ in range(5 if fast else 15):
@@ -1111,12 +1040,10 @@ def _check_threshold_exactness(rng: np.random.Generator, fast: bool) -> dict:
     worst_s = 0.0
     worst_r = 0.0
     for hi, lo in pairs:
-        k0 = risk_mod.quantum_threshold(ATTENUATE, hi, lo)
-        worst_s = max(worst_s, abs(risk_mod.s_tilde(ATTENUATE, hi, k0) - lo))
-        worst_r = max(worst_r, risk_mod.quantum_minimax_risk(hi, lo, k0, ATTENUATE))
-        k0 = risk_mod.quantum_threshold(AMPLIFY, lo, hi)
-        worst_s = max(worst_s, abs(risk_mod.s_tilde(AMPLIFY, lo, k0) - hi))
-        worst_r = max(worst_r, risk_mod.quantum_minimax_risk(lo, hi, k0, AMPLIFY))
+        for kind, s1, s2 in ((ATTENUATE, hi, lo), (AMPLIFY, lo, hi)):
+            k0 = risk_mod.quantum_threshold(kind, s1, s2)
+            worst_s = max(worst_s, abs(channel_s_tilde(kind, s1, k0) - s2))
+            worst_r = max(worst_r, risk_mod.quantum_minimax_risk(s1, s2, k0, kind))
     ok = worst_s <= 1e-12 and worst_r == 0.0
     return _report(
         "threshold_exactness", ok, pairs=count, worst_s_tilde_err=worst_s, worst_risk=worst_r

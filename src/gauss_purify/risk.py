@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import AMPLIFY, ATTENUATE, _check_k, channel_s_tilde, normalize_kind
+from .channels import AMPLIFY, ATTENUATE, channel_s_tilde, normalize_kind
 from .fock import _check_positive, _check_thermal
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "gaussian_l1",
     "quantum_threshold",
     "classical_threshold",
-    "s_tilde",
     "quantum_minimax_risk",
     "classical_minimax_risk",
     "case4_risk",
@@ -141,22 +140,13 @@ def classical_threshold(V1: float, V2: float) -> float:
     return math.sqrt(V2 / V1)
 
 
-def s_tilde(kind: str, s1: float, k: float) -> float:
-    """Thermal parameter after rescaling by k with the kind-matched channel.
-
-    Restricted to the kind's own regime (attenuation 0 < k <= 1,
-    amplification k >= 1); channels.channel_s_tilde accepts any k > 0.
-    """
-    kind = normalize_kind(kind)
-    return channel_s_tilde(kind, s1, _check_k(kind, k, closed=True))
-
-
 def quantum_minimax_risk(s1: float, s2: float, k: float, kind: str) -> float:
     """Worst-case L1 risk of the optimal covariant rescaling channel.
 
     Zero whenever the rescaled parameter s~ lands at or below s2 (a
     noise top-up then finishes the job exactly); otherwise the L1
-    distance between thermal(s~) and thermal(s2).
+    distance between thermal(s~) and thermal(s2).  k must lie in the
+    kind's closed regime (see channels.channel_s_tilde).
     """
     _check_thermal("s2", s2)
     kind = normalize_kind(kind)
@@ -408,12 +398,7 @@ class RiskReport:
 
 
 def _threshold_pair(s1: float, s2: float, V1: float, V2: float) -> tuple[float, float]:
-    if s1 == s2:
-        kq = 1.0
-    elif s1 > s2:
-        kq = quantum_threshold(ATTENUATE, s1, s2)
-    else:
-        kq = quantum_threshold(AMPLIFY, s1, s2)
+    kq = quantum_threshold(ATTENUATE if s1 >= s2 else AMPLIFY, s1, s2)
     return kq, classical_threshold(V1, V2)
 
 

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__
-from .channels import AMPLIFY, ATTENUATE
+from .channels import AMPLIFY, ATTENUATE, channel_s_tilde
 from .risk import (
     GaussianProblem,
     QubitScenario,
@@ -34,7 +34,6 @@ from .risk import (
     quantum_threshold,
     qubit_thresholds,
     rate_branch,
-    s_tilde,
 )
 
 __all__ = ["SweepConfig", "FIGURE_TARGETS", "run_sweep", "worker_count"]
@@ -116,7 +115,7 @@ def _plan_fig2(config: SweepConfig, kind: str) -> _Plan:
     k0 = quantum_threshold(kind, s1, s2)
 
     def row(k: float) -> list:
-        return [k, s_tilde(kind, s1, k), quantum_minimax_risk(s1, s2, k, kind)]
+        return [k, channel_s_tilde(kind, s1, k), quantum_minimax_risk(s1, s2, k, kind)]
 
     meta = [
         ("kind", kind),

@@ -38,6 +38,7 @@ from gauss_purify.oracles import (
 from gauss_purify.oracles import (
     _bs_block,
     _channel_outputs,
+    _check_diagonal_output,
     _check_threshold_exactness,
     _jsonable,
     _report,
@@ -331,3 +332,21 @@ def test_sabotaged_threshold_is_detected(monkeypatch):
     report = _check_threshold_exactness(np.random.default_rng(5), fast=True)
     assert report["ok"] is False
     assert report["worst_s_tilde_err"] > 1e-6
+
+
+def test_sector_leak_in_the_unitary_is_detected(monkeypatch):
+    # mutation check: the exact unitary gives an off-diagonal mass of
+    # exactly 0, so show that an amplitude moved across conserved
+    # sectors, |0, 0> -> |1, 0>, still fails the diagonal-output check
+    true_fn = oracles.assemble_two_mode_unitary
+
+    def leaky(kind, k, cutoff):
+        U, leak = true_fn(kind, k, cutoff)
+        U[cutoff + 1, 0] += 1e-3  # row |1, 0>, column |0, 0>
+        return U, leak
+
+    assert _check_diagonal_output(np.random.default_rng(0), fast=True)["ok"] is True
+    monkeypatch.setattr(oracles, "assemble_two_mode_unitary", leaky)
+    report = _check_diagonal_output(np.random.default_rng(0), fast=True)
+    assert report["ok"] is False
+    assert report["offdiagonal_mass"] > 1e-4

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import math
 import subprocess
 import sys
@@ -24,7 +25,13 @@ from gauss_purify.channels import (
     gaussian_noise_topup,
     thinning_matrix,
 )
-from gauss_purify.fock import from_probs, thermal_state
+from gauss_purify.fock import (
+    displacement_matrix,
+    displacement_matrix_element,
+    from_probs,
+    number_state,
+    thermal_state,
+)
 from gauss_purify.oracles import (
     AncillaCandidate,
     ancilla_optimality_search,
@@ -33,6 +40,7 @@ from gauss_purify.oracles import (
     check_stochastic_ordering,
     kraus_operators,
     simulate_channel,
+    verify_covariance,
     verify_noise_topup,
 )
 from gauss_purify.risk import (
@@ -50,7 +58,6 @@ from gauss_purify.risk import (
     quantum_threshold,
     qubit_thresholds,
     rate_branch,
-    s_tilde,
 )
 from gauss_purify.risk import _last_term
 
@@ -96,22 +103,37 @@ def test_classical_threshold():
 
 
 def test_s_tilde_worked_values():
-    assert abs(s_tilde(ATTENUATE, 0.8, 0.5) - 0.5) < 1e-15
-    assert abs(s_tilde(AMPLIFY, 0.4, math.sqrt(2.0)) - 0.7) < 1e-15
-    assert s_tilde(ATTENUATE, 0.6, 1.0) == s_tilde(AMPLIFY, 0.6, 1.0) == 0.6
+    assert abs(channel_s_tilde(ATTENUATE, 0.8, 0.5) - 0.5) < 1e-15
+    assert abs(channel_s_tilde(AMPLIFY, 0.4, math.sqrt(2.0)) - 0.7) < 1e-15
+    assert channel_s_tilde(ATTENUATE, 0.6, 1.0) == channel_s_tilde(AMPLIFY, 0.6, 1.0) == 0.6
 
 
 def test_s_tilde_regime_bounds():
     with pytest.raises(ValueError):
-        s_tilde(ATTENUATE, 0.5, 1.2)
+        channel_s_tilde(ATTENUATE, 0.5, 1.2)
     with pytest.raises(ValueError):
-        s_tilde(AMPLIFY, 0.5, 0.8)
+        channel_s_tilde(AMPLIFY, 0.5, 0.8)
 
 
 def test_s_tilde_hits_target_at_threshold():
     s1, s2 = 0.8, 0.4
     k0 = quantum_threshold(ATTENUATE, s1, s2)
-    assert abs(s_tilde(ATTENUATE, s1, k0) - s2) < 1e-15
+    assert abs(channel_s_tilde(ATTENUATE, s1, k0) - s2) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        # outside the regime the formula leaves [0, 1): -1.0 and 0.8 here
+        (channel_s_tilde, ("amp", 0.5, 0.5)),
+        (channel_s_tilde, ("att", 0.5, 2.0)),
+        (quantum_minimax_risk, (0.3, 0.5, 0.5, "amp")),
+        (quantum_minimax_risk, (0.5, 0.3, 2.0, "att")),
+    ],
+)
+def test_s_tilde_outside_the_kinds_regime_raises_naming_k(fn, args):
+    with pytest.raises(ValueError, match="^k must "):
+        fn(*args)
 
 
 # --- geometric (thermal-law) L1 distance ---
@@ -379,6 +401,16 @@ def _two_level_ancilla(weights):
     return AncillaCandidate(np.array([0.5, weights]))
 
 
+def _amp_s_tilde(s1, k):
+    """channel_s_tilde for amplification; a direct row would share the attenuation row's IDs."""
+    return channel_s_tilde(AMPLIFY, s1, k)
+
+
+def _one_point_covariance(alpha_grid):
+    """verify_covariance on the one-point grid [alpha_grid]."""
+    return verify_covariance(ATTENUATE, 0.5, [alpha_grid], s1=0.3, in_cutoff=6)
+
+
 _NONFINITE = (math.nan, math.inf, -math.inf)
 
 
@@ -406,7 +438,7 @@ _NONFINITE_CASES = [
     (gain_matrix, dict(k=1.5, in_cutoff=3, out_cutoff=5), ["k"]),
     (attenuate_kernel, dict(k=0.5, state=thermal_state(0.3, 5)), ["k"]),
     (amplify_kernel, dict(k=1.5, state=thermal_state(0.3, 5), out_cutoff=8), ["k"]),
-    (s_tilde, dict(kind="amp", s1=0.5, k=1.5), ["k"]),
+    (_amp_s_tilde, dict(s1=0.5, k=1.5), ["k"]),
     (
         simulate_channel,
         dict(
@@ -428,6 +460,9 @@ _NONFINITE_CASES = [
     ),
     (_one_level_ancilla, dict(weights=1.0), ["weights"]),
     (_two_level_ancilla, dict(weights=0.5), ["weights"]),
+    (_one_point_covariance, dict(alpha_grid=0.5), ["alpha_grid"]),
+    (displacement_matrix, dict(alpha=0.5, dim=4), ["alpha"]),
+    (displacement_matrix_element, dict(m=0, n=1, alpha=0.5), ["alpha"]),
     (
         ancilla_optimality_search,
         dict(kind="att", k=0.6, s1=0.8, s2=0.4, max_level=1, samples=10),
@@ -454,6 +489,16 @@ _NONFINITE_CASES = [
         (-1, 2.5, *_NONFINITE),
     ),
     (assemble_two_mode_unitary, dict(kind="att", k=0.5, cutoff=3), ["cutoff"], (-1, *_NONFINITE)),
+    (thermal_state, dict(s=0.5, cutoff=5), ["cutoff"], (-1, 2.5, *_NONFINITE)),
+    (thermal_state(0.3, 5).prob, dict(n=1), ["n"], (-1, 2.5, *_NONFINITE)),
+    (number_state, dict(n=1, cutoff=3), ["n", "cutoff"], (-1, 2.5, *_NONFINITE)),
+    (displacement_matrix, dict(alpha=0.5, dim=4), ["dim"], (0, 2.5, *_NONFINITE)),
+    (
+        displacement_matrix_element,
+        dict(m=0, n=1, alpha=0.5),
+        ["m", "n"],
+        (-1, 2.5, *_NONFINITE),
+    ),
     (
         simulate_channel,
         dict(
@@ -482,6 +527,12 @@ _NONFINITE_CASES = [
 def test_nonfinite_parameters_raise_naming_them(fn, base, name, bad):
     with pytest.raises(ValueError, match=f"^{name} must "):
         fn(**dict(base, **{name: bad}))
+
+
+@pytest.mark.parametrize("module", ["", ".fock", ".channels", ".risk", ".sweeps", ".oracles"])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module("gauss_purify" + module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 def test_rate_branch_covers_every_branch():
