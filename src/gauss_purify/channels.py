@@ -141,12 +141,15 @@ def _gain_log_columns(G: float, n_vals: np.ndarray, out_cutoff: int) -> np.ndarr
 def thinning_matrix(k: float, cutoff: int) -> np.ndarray:
     """Dense beamsplitter kernel on support 0..cutoff; columns sum to 1."""
     k = _check_k(ATTENUATE, k)
+    cutoff = _check_count("cutoff", cutoff)
     return _thinning_log_columns(k * k, np.arange(cutoff + 1), cutoff)
 
 
 def gain_matrix(k: float, in_cutoff: int, out_cutoff: int) -> np.ndarray:
     """Dense amplifier kernel; columns sum to 1 minus the out_cutoff tail."""
     k = _check_k(AMPLIFY, k)
+    in_cutoff = _check_count("in_cutoff", in_cutoff)
+    out_cutoff = _check_count("out_cutoff", out_cutoff)
     return _gain_log_columns(k * k, np.arange(in_cutoff + 1), out_cutoff)
 
 
@@ -198,9 +201,14 @@ def amplify_kernel(
     omitted mass is then whatever the truncation measures).
     """
     k = _check_k(AMPLIFY, k)
+    # written so that NaN fails too: every comparison with NaN is False
+    if not 0.0 < tail_target < 1.0:
+        raise ValueError(f"tail_target must lie in (0, 1), got {tail_target}")
     n_in = state.cutoff
     fixed_cutoff = out_cutoff is not None
-    if out_cutoff is None:
+    if fixed_cutoff:
+        out_cutoff = _check_count("out_cutoff", out_cutoff)
+    else:
         out_cutoff = _auto_out_cutoff(k * k, n_in, tail_target)
     out = _stream_apply(lambda nv, oc: _gain_log_columns(k * k, nv, oc), state.probs, out_cutoff)
     # Exact arithmetic would give sum(out) = norm(input); the deficit is

@@ -123,6 +123,7 @@ class DiagonalFockState:
 
     def padded(self, cutoff: int) -> np.ndarray:
         """Probability vector zero-extended to length cutoff+1."""
+        cutoff = _check_count("cutoff", cutoff)
         if cutoff < self.cutoff:
             raise ValueError("padding cannot shrink the support")
         out = np.zeros(cutoff + 1)

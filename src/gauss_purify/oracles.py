@@ -72,6 +72,9 @@ DEFAULT_SEED = 42
 # is below this (the wavefront has not reached the wall)
 _EDGE_MASS = 1e-24
 _EDGE_ROWS = 16
+# longest squeezer ladder decomposed (its eigenvectors take 0.5 GB); longer
+# ones, at high gain or large photon numbers, are rejected up front
+_MAX_LADDER = 1 << 13
 
 
 def _thermal_cutoff(s: float, tail: float) -> int:
@@ -108,6 +111,7 @@ class AncillaCandidate:
 
     @classmethod
     def fock(cls, level: int) -> "AncillaCandidate":
+        level = _check_count("level", level)
         w = np.zeros(level + 1)
         w[level] = 1.0
         return cls(w)
@@ -158,34 +162,70 @@ def _bs_block(theta: float, total: int) -> np.ndarray:
     return _ladder_evolve(offdiag, theta, np.arange(total + 1))
 
 
-def _tms_columns(
-    r: float, a0: int, b0: int, col_indices: list[int], min_length: int
-) -> np.ndarray:
+def _tms_length(r: float, a0: int, b0: int, t_max: int, n_cols: int) -> int:
+    """Squeezer ladder length whose last `_EDGE_ROWS` rows carry < `_EDGE_MASS`.
+
+    Column t0 of the evolved ladder spreads over rows t0 + t like a
+    negative binomial in t with ratio q = tanh^2 r = 1 - 1/k^2; for
+    t0 = 0 it is exactly NB_n(t) = C(n+t, t) q^t (1-q)^(n+1), n = a0+b0.
+    For larger t0 the leading term of the tail is at most C(n, t0)
+    NB_n(t - t0) at n = a0 + b0 + 2 t0, so the rule takes the heaviest
+    column, t0 = t_max, with that factor as its bound.  The edge window
+    starts at the first row past the law's mode where the bound, summed
+    over the remaining geometric tail and over the columns, is below
+    `_EDGE_MASS`; the edge test in `_tms_columns` certifies the result.
+    The scan stops past `_MAX_LADDER` rows and then returns a length
+    beyond it.
+    """
+    if r == 0.0:
+        return t_max + 1 + _EDGE_ROWS
+    # q and 1 - q = 1/k^2 in log form, finite up to the largest float k
+    log_q, log_1q = 2.0 * math.log(math.tanh(r)), -2.0 * math.log(math.cosh(r))
+    q = math.exp(log_q)
+    n = a0 + b0 + 2 * t_max
+    log_scale = gammaln(n + 1) - gammaln(t_max + 1) - gammaln(n - t_max + 1) + math.log(n_cols)
+    start, span = 0, 64
+    while start <= _MAX_LADDER:
+        t = np.arange(start, start + span, dtype=float)
+        # successive pmf ratio; the law decreases past its mode, where ratio < 1
+        ratio = q * (n + t + 1.0) / (t + 1.0)
+        log_nb = (
+            gammaln(n + t + 1.0) - gammaln(t + 1.0) - gammaln(n + 1.0)
+            + t * log_q + (n + 1) * log_1q
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_tail = log_scale + log_nb - np.log1p(-ratio)
+        hit = np.flatnonzero((ratio < 1.0) & (log_tail < math.log(_EDGE_MASS)))
+        if hit.size:
+            return t_max + start + int(hit[0]) + _EDGE_ROWS
+        start += span
+        span *= 2
+    return t_max + start + _EDGE_ROWS
+
+
+def _tms_columns(r: float, a0: int, b0: int, col_indices: list[int]) -> np.ndarray:
     """Evolved squeezer columns |a0+t, b0+t> -> ladder amplitudes.
 
     The generator on the ladder span{|a0+j, b0+j>} is real antisymmetric
     tridiagonal and is exponentiated exactly by `_ladder_evolve`.  The
-    ladder is extended until the mass near the truncation edge is
-    certifiably negligible, so the returned amplitudes agree with the
-    untruncated evolution.  Raises if the cap is hit.
+    ladder length comes from `_tms_length`, and the edge-mass test
+    certifies it: the mass past the ladder is below `_EDGE_MASS`, so the
+    returned amplitudes agree with the untruncated evolution.  A ladder
+    that fails the test is doubled.  Raises ValueError naming k when the
+    ladder would need more than `_MAX_LADDER` rows.
     """
     t_max = max(col_indices)
-    gain = math.cosh(r) ** 2
-    length = max(
-        min_length,
-        int(gain * (a0 + b0 + t_max + 1) + 12.0 * math.sqrt(gain * (a0 + b0 + t_max + 1)) + 150),
-    )
-    for _ in range(8):
+    length = _tms_length(r, a0, b0, t_max, len(col_indices))
+    while length <= _MAX_LADDER:
         j = np.arange(length - 1)
         offdiag = np.sqrt((a0 + j + 1.0) * (b0 + j + 1.0))
         cols = _ladder_evolve(offdiag, r, col_indices)
-        edge = float(np.sum(cols[-_EDGE_ROWS:, :] ** 2))
-        if edge <= _EDGE_MASS:
+        if float(np.sum(cols[-_EDGE_ROWS:, :] ** 2)) <= _EDGE_MASS:
             return cols
-        length = int(length * 1.7) + 64
-    raise RuntimeError(
-        f"squeezer ladder did not converge; needs length above {length} "
-        f"(edge mass {edge:.3e})"
+        length *= 2
+    raise ValueError(
+        f"k must keep each squeezer ladder within {_MAX_LADDER} rows; k = {math.cosh(r):.6g} "
+        f"needs {length} or more for |{a0}+t, {b0}+t>, t <= {t_max}"
     )
 
 
@@ -201,7 +241,7 @@ def _ladder_index(kind: str, na, nb):
     return na - nb, np.minimum(na, nb)
 
 
-def _sectors(kind: str, k: float, needs: dict, cutoff: int):
+def _sectors(kind: str, k: float, needs: dict):
     """Yield (sector, na, nb, cols) for every sector in `needs`.
 
     `needs[sector]` lists the ladder indices (see `_ladder_index`) whose
@@ -209,10 +249,12 @@ def _sectors(kind: str, k: float, needs: dict, cutoff: int):
     with row i the amplitude of the ladder state |na[i], nb[i]>, so input
     column c is the state at row needs[sector][c].  A beamsplitter ladder
     is its whole conserved-total block.  A squeezer ladder |a0+t, b0+t>,
-    a0 = max(d, 0), b0 = max(-d, 0), reaches past row na = cutoff and
-    runs until its edge mass is negligible; sectors d and -d have the
-    same generator (off-diagonal sqrt((|d|+j+1)(j+1))), so both are read
-    from one decomposition over the union of their indices.
+    a0 = max(d, 0), b0 = max(-d, 0), is as long as its negative-binomial
+    tail bound says (`_tms_length`) and certified by its edge mass, so
+    rows past it carry less than `_EDGE_MASS` and read as zero; it may
+    end before or after na = cutoff.  Sectors d and -d have the same
+    generator (off-diagonal sqrt((|d|+j+1)(j+1))), so both are read from
+    one decomposition over the union of their indices.
     """
     if kind == ATTENUATE:
         theta = math.acos(k)
@@ -224,7 +266,7 @@ def _sectors(kind: str, k: float, needs: dict, cutoff: int):
     for a in sorted({abs(d) for d in needs}):
         pair = [d for d in dict.fromkeys((a, -a)) if d in needs]
         idx = sorted(set().union(*(needs[d] for d in pair)))
-        cols = _tms_columns(r, a, 0, idx, cutoff + 2 - min(max(d, 0) for d in pair))
+        cols = _tms_columns(r, a, 0, idx)
         t = np.arange(cols.shape[0])
         for d in pair:
             yield d, max(d, 0) + t, max(-d, 0) + t, cols[:, np.searchsorted(idx, needs[d])]
@@ -256,7 +298,7 @@ def _channel_outputs(
     members, needs = _sector_needs(kind, n, kap)
     out = np.zeros((P, Q, cutoff + 1))
     beyond = np.zeros((P, Q))
-    for sector, m_vals, _, cols in _sectors(kind, k, needs, cutoff):
+    for sector, m_vals, _, cols in _sectors(kind, k, needs):
         sel = members[sector]
         # pair weights, one row per column and one entry per (input, ancilla)
         w = probs[:, n[sel]].T[:, :, None] * taus[:, kap[sel]].T[:, None, :]
@@ -299,7 +341,9 @@ def kraus_operators(kind: str, k: float, in_cutoff: int, out_cutoff: int) -> lis
     where B_j loses j photons, or the squeezer ladder at difference n,
     where it gains them) and kept for m <= out_cutoff.  j runs up to the
     largest ancilla level any kept entry reaches: in_cutoff for
-    attenuation, out_cutoff for amplification.
+    attenuation; for amplification, the largest level a certified
+    squeezer ladder reaches within out_cutoff (entries past a ladder
+    carry less than `_EDGE_MASS` and are zero).
     """
     kind = normalize_kind(kind)
     k = _check_k(kind, k, closed=True)
@@ -308,7 +352,7 @@ def kraus_operators(kind: str, k: float, in_cutoff: int, out_cutoff: int) -> lis
     n = np.arange(in_cutoff + 1)
     _, needs = _sector_needs(kind, n, np.zeros_like(n))
     parts = []
-    for sector, na, nb, cols in _sectors(kind, k, needs, out_cutoff):
+    for sector, na, nb, cols in _sectors(kind, k, needs):
         keep = na <= out_cutoff
         src = na[needs[sector][0]]
         parts.append((nb[keep], na[keep], np.full(keep.sum(), src), cols[keep, 0]))
@@ -334,7 +378,7 @@ def assemble_two_mode_unitary(kind: str, k: float, cutoff: int) -> tuple[np.ndar
     _, needs = _sector_needs(kind, *np.divmod(np.arange(size * size), size))
     U = np.zeros((size * size, size * size))
     max_leak = 0.0
-    for sector, na, nb, cols in _sectors(kind, k, needs, cutoff):
+    for sector, na, nb, cols in _sectors(kind, k, needs):
         keep = (na <= cutoff) & (nb <= cutoff)
         block = cols[keep]
         idx = needs[sector]
@@ -438,6 +482,7 @@ def ancilla_optimality_search(
     s2 = _check_thermal("s2", s2)
     max_level = _check_count("max_level", max_level)
     samples = _check_count("samples", samples)
+    seed = _check_count("seed", seed)
     n_in = _thermal_cutoff(s1, 1e-13)
     if kind == ATTENUATE:
         out_cut = n_in + max_level
@@ -533,6 +578,7 @@ def verify_noise_topup(
     """
     v = gaussian_noise_topup(s_tilde, s2)
     samples = _check_count("samples", samples, least=1)
+    seed = _check_count("seed", seed)
     cutoff = max(_thermal_cutoff(s2, 1e-14), 20)
     target = thermal_state(s2, cutoff).probs
     if v == 0.0:
@@ -593,6 +639,9 @@ def verify_covariance(
     the principal mode; its deviation from k * alpha is reported.
     """
     kind = normalize_kind(kind)
+    k = _check_k(kind, k, closed=True)
+    s1 = _check_thermal("s1", s1)
+    in_cutoff = _check_count("in_cutoff", in_cutoff)
     alphas = tuple(complex(a) for a in alpha_grid)
     # written so that NaN fails too: every comparison with NaN is False
     if not all(abs(a) <= 2.0 for a in alphas):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -86,7 +87,7 @@ def _antisymmetric_tridiagonal(sub: np.ndarray) -> np.ndarray:
 )
 def test_squeezer_columns_match_dense_expm(a0, b0, k, idx):
     r = math.acosh(k)
-    cols = _tms_columns(r, a0, b0, idx, min_length=40)
+    cols = _tms_columns(r, a0, b0, idx)
     # a^dag b^dag |a0+j, b0+j> = sqrt((a0+j+1)(b0+j+1)) |a0+j+1, b0+j+1>
     j = np.arange(cols.shape[0] - 1)
     gen = _antisymmetric_tridiagonal(np.sqrt((a0 + j + 1.0) * (b0 + j + 1.0)))
@@ -108,7 +109,7 @@ def test_beamsplitter_block_matches_dense_expm(total):
 
 def test_ladders_are_exact_identity_at_zero():
     assert np.array_equal(_bs_block(0.0, 7), np.eye(8))
-    cols = _tms_columns(0.0, 2, 0, [0, 3], min_length=20)
+    cols = _tms_columns(0.0, 2, 0, [0, 3])
     assert np.array_equal(cols, np.eye(cols.shape[0])[:, [0, 3]])
 
 
@@ -143,7 +144,7 @@ def test_ladder_index_inverts_the_sector_map(kind, k, sectors):
     # row i of every yielded ladder is the state at ladder index i of its sector
     needs = {s: [0] for s in sectors}
     seen = []
-    for sector, na, nb, cols in oracles._sectors(kind, k, needs, 6):
+    for sector, na, nb, cols in oracles._sectors(kind, k, needs):
         got, index = oracles._ladder_index(kind, na, nb)
         assert np.all(got == sector)
         assert np.array_equal(index, np.arange(na.size))
@@ -152,7 +153,7 @@ def test_ladder_index_inverts_the_sector_map(kind, k, sectors):
     assert sorted(seen) == list(sectors)
 
 
-def test_one_decomposition_per_ladder_per_call(monkeypatch):
+def _count_decompositions(monkeypatch) -> list:
     calls = []
     real = oracles.eigh_tridiagonal
 
@@ -161,6 +162,11 @@ def test_one_decomposition_per_ladder_per_call(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(oracles, "eigh_tridiagonal", counting)
+    return calls
+
+
+def test_one_decomposition_per_ladder_per_call(monkeypatch):
+    calls = _count_decompositions(monkeypatch)
     # at these parameters no ladder needs an edge-mass retry, so each
     # decomposition is one ladder |d| = 0..n_in shared by every ancilla
     # level (the per-level loop made 3 (n_in + 1))
@@ -173,6 +179,50 @@ def test_one_decomposition_per_ladder_per_call(monkeypatch):
     cutoff = 13
     assemble_two_mode_unitary(AMPLIFY, 1.025, cutoff)
     assert len(calls) == cutoff + 1
+
+
+def _edge_passes(r: float, a0: int, cols: list[int], length: int) -> bool:
+    j = np.arange(length - 1)
+    evolved = oracles._ladder_evolve(np.sqrt((a0 + j + 1.0) * (j + 1.0)), r, cols)
+    return float(np.sum(evolved[-oracles._EDGE_ROWS :] ** 2)) <= oracles._EDGE_MASS
+
+
+@pytest.mark.parametrize("k", [1.02, 1.1, 1.3, 1.5, 2.0, 3.0])
+def test_squeezer_length_rule_needs_no_retry_and_wastes_little(monkeypatch, k):
+    r = math.acosh(k)
+    calls = _count_decompositions(monkeypatch)
+    for a0 in (0, 8, 40):
+        for t_max in (0, 2, 13, 30):
+            cols = list(range(t_max + 1))
+            calls.clear()
+            length = _tms_columns(r, a0, 0, cols).shape[0]
+            # the first length passed the edge test: one decomposition, no retry
+            assert calls == [length], (a0, t_max)
+            # past the bulk the edge mass falls with the length, so a failing
+            # length below length / 1.5 puts the shortest passing one (what a
+            # bisection between the two would find) above length / 1.5
+            shorter = math.ceil(length / 1.5) - 1
+            assert not _edge_passes(r, a0, cols, shorter), (a0, t_max, length)
+
+
+def test_high_gain_ladders_are_decomposed_once(monkeypatch):
+    # a ladder that starts too short is decomposed again, so any retry at
+    # this high gain shows in the count
+    calls = _count_decompositions(monkeypatch)
+    n_in = 30
+    _channel_outputs(AMPLIFY, 2.3, thermal_state(0.7, n_in).probs[None], np.eye(5), 265)
+    # one ladder per |d| = |n - kappa|, d = -4..30
+    assert len(calls) == n_in + 1
+
+
+def test_squeezer_ladder_past_the_row_cap_is_rejected_fast(monkeypatch):
+    # k = 50 would need a 137,000-row ladder (150 GB of eigenvectors)
+    calls = _count_decompositions(monkeypatch)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^k must keep each squeezer ladder"):
+        simulate_channel(AMPLIFY, 50.0, vacuum_state(), AncillaCandidate.vacuum(), 10)
+    assert time.perf_counter() - start < 0.1
+    assert calls == []
 
 
 def test_amplifier_simulation_leaves_global_rng_alone(monkeypatch):

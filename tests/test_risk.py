@@ -472,7 +472,7 @@ _NONFINITE_CASES = [
     (
         ancilla_optimality_search,
         dict(kind="att", k=0.6, s1=0.8, s2=0.4, max_level=1, samples=10),
-        ["max_level", "samples"],
+        ["max_level", "samples", "seed"],
         (-1, 0.5, *_NONFINITE),
     ),
     (
@@ -482,6 +482,7 @@ _NONFINITE_CASES = [
         (0, *_NONFINITE),
     ),
     (verify_noise_topup, dict(s_tilde=0.2, s2=0.5, samples=100), ["samples"], (0, -1, *_NONFINITE)),
+    (verify_noise_topup, dict(s_tilde=0.2, s2=0.5, samples=100), ["seed"], (-1, 2.5, *_NONFINITE)),
     (
         kraus_operators,
         dict(kind="att", k=0.5, in_cutoff=3, out_cutoff=3),
@@ -510,6 +511,38 @@ _NONFINITE_CASES = [
         ),
         ["cutoff"],
         (-1, *_NONFINITE),
+    ),
+    (thinning_matrix, dict(k=0.5, cutoff=5), ["cutoff"], (-1, 2.5, *_NONFINITE)),
+    (
+        gain_matrix,
+        dict(k=1.5, in_cutoff=3, out_cutoff=5),
+        ["in_cutoff", "out_cutoff"],
+        (-1, 2.5, *_NONFINITE),
+    ),
+    (
+        amplify_kernel,
+        dict(k=1.5, state=thermal_state(0.3, 5), out_cutoff=8),
+        ["out_cutoff"],
+        (-1, 2.5, *_NONFINITE),
+    ),
+    (
+        amplify_kernel,
+        dict(k=1.5, state=thermal_state(0.3, 5)),
+        ["tail_target"],
+        (0.0, 1.0, -1e-3, *_NONFINITE),
+    ),
+    (thermal_state(0.3, 3).padded, dict(cutoff=5), ["cutoff"], (-1, 4.5, *_NONFINITE)),
+    (AncillaCandidate.fock, dict(level=1), ["level"], (-1, 2.5, *_NONFINITE)),
+    (
+        verify_covariance,
+        dict(kind="amp", k=1.2, alpha_grid=[0.3], s1=0.3, in_cutoff=4),
+        ["k", "s1"],
+    ),
+    (
+        verify_covariance,
+        dict(kind="amp", k=1.2, alpha_grid=[0.3], s1=0.3, in_cutoff=4),
+        ["in_cutoff"],
+        (-1, 2.5, *_NONFINITE),
     ),
 ]
 
