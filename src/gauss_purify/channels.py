@@ -22,7 +22,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DiagonalFockState, _check_count, _check_positive, _check_thermal
+from .fock import DiagonalFockState
+from .params import (
+    AMPLIFY,
+    ATTENUATE,
+    channel_s_tilde,
+    check_count,
+    check_k,
+    check_nonnegative,
+    check_open_unit,
+    check_positive,
+    check_thermal,
+    normalize_kind,
+)
 
 __all__ = [
     "ATTENUATE",
@@ -39,21 +51,9 @@ __all__ = [
     "classical_channel",
 ]
 
-ATTENUATE = "att"
-AMPLIFY = "amp"
-
 # Kernels are applied in column chunks of this many input levels, keeping
 # memory bounded at large cutoffs.
 _STREAM_CHUNK = 256
-
-
-def normalize_kind(kind: str) -> str:
-    k = str(kind).strip().lower()
-    if k in ("att", "attenuate", "attenuation"):
-        return ATTENUATE
-    if k in ("amp", "amplify", "amplification"):
-        return AMPLIFY
-    raise ValueError(f"unknown channel kind: {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -66,40 +66,7 @@ class ClassicalGaussian:
     def __post_init__(self):
         if not math.isfinite(self.mean):
             raise ValueError(f"mean must be finite, got {self.mean}")
-        if not (math.isfinite(self.variance) and self.variance >= 0.0):
-            raise ValueError(f"variance must be finite and nonnegative, got {self.variance}")
-
-
-def _check_k(kind: str, k: float, closed: bool = False) -> float:
-    """k inside the channel's own regime; NaN and inf fail too.
-
-    Attenuation needs 0 < k < 1 and amplification 1 < k < inf; closed
-    also admits k = 1, where either channel is the identity.
-    """
-    k = float(k)
-    if closed and k == 1.0:
-        return k
-    if kind == ATTENUATE and not 0.0 < k < 1.0:
-        raise ValueError(f"k must lie in (0, 1{']' if closed else ')'} for attenuation, got {k}")
-    if kind == AMPLIFY and not 1.0 < k < math.inf:
-        raise ValueError(f"k must lie in {'[' if closed else '('}1, inf) for amplification, got {k}")
-    return k
-
-
-def channel_s_tilde(kind: str, s1: float, k: float) -> float:
-    """Thermal parameter after the channel: thermal(s1) -> thermal(s~).
-
-    s~_att = s1 k^2 / (1 - s1 + s1 k^2) and s~_amp = 1 - (1 - s1) / k^2.
-    k must lie in the kind's closed regime, 0 < k <= 1 for attenuation
-    and 1 <= k < inf for amplification, so s~ stays in [0, 1);
-    ValueError naming k otherwise.
-    """
-    kind = normalize_kind(kind)
-    _check_thermal("s1", s1)
-    k = _check_k(kind, k, closed=True)
-    if kind == ATTENUATE:
-        return s1 * k * k / (1.0 - s1 + s1 * k * k)
-    return 1.0 - (1.0 - s1) / (k * k)
+        check_nonnegative("variance", self.variance)
 
 
 def _thinning_log_columns(eta: float, n_vals: np.ndarray, out_cutoff: int) -> np.ndarray:
@@ -140,16 +107,16 @@ def _gain_log_columns(G: float, n_vals: np.ndarray, out_cutoff: int) -> np.ndarr
 
 def thinning_matrix(k: float, cutoff: int) -> np.ndarray:
     """Dense beamsplitter kernel on support 0..cutoff; columns sum to 1."""
-    k = _check_k(ATTENUATE, k)
-    cutoff = _check_count("cutoff", cutoff)
+    k = check_k(ATTENUATE, k)
+    cutoff = check_count("cutoff", cutoff)
     return _thinning_log_columns(k * k, np.arange(cutoff + 1), cutoff)
 
 
 def gain_matrix(k: float, in_cutoff: int, out_cutoff: int) -> np.ndarray:
     """Dense amplifier kernel; columns sum to 1 minus the out_cutoff tail."""
-    k = _check_k(AMPLIFY, k)
-    in_cutoff = _check_count("in_cutoff", in_cutoff)
-    out_cutoff = _check_count("out_cutoff", out_cutoff)
+    k = check_k(AMPLIFY, k)
+    in_cutoff = check_count("in_cutoff", in_cutoff)
+    out_cutoff = check_count("out_cutoff", out_cutoff)
     return _gain_log_columns(k * k, np.arange(in_cutoff + 1), out_cutoff)
 
 
@@ -168,7 +135,7 @@ def attenuate_kernel(k: float, state: DiagonalFockState) -> DiagonalFockState:
     The output cutoff equals the input cutoff (loss never raises the
     photon number); the input's omitted mass carries over unchanged.
     """
-    k = _check_k(ATTENUATE, k)
+    k = check_k(ATTENUATE, k)
     n_in = state.cutoff
     out = _stream_apply(lambda nv, oc: _thinning_log_columns(k * k, nv, oc), state.probs, n_in)
     return DiagonalFockState(out, n_in, state.tail_bound)
@@ -200,14 +167,12 @@ def amplify_kernel(
     tail bound; pass ``out_cutoff`` to pin the support instead (the
     omitted mass is then whatever the truncation measures).
     """
-    k = _check_k(AMPLIFY, k)
-    # written so that NaN fails too: every comparison with NaN is False
-    if not 0.0 < tail_target < 1.0:
-        raise ValueError(f"tail_target must lie in (0, 1), got {tail_target}")
+    k = check_k(AMPLIFY, k)
+    check_open_unit("tail_target", tail_target)
     n_in = state.cutoff
     fixed_cutoff = out_cutoff is not None
     if fixed_cutoff:
-        out_cutoff = _check_count("out_cutoff", out_cutoff)
+        out_cutoff = check_count("out_cutoff", out_cutoff)
     else:
         out_cutoff = _auto_out_cutoff(k * k, n_in, tail_target)
     out = _stream_apply(lambda nv, oc: _gain_log_columns(k * k, nv, oc), state.probs, out_cutoff)
@@ -243,11 +208,11 @@ def fock_ancilla_outputs(
     column's tail below 1e-14.
     """
     kind = normalize_kind(kind)
-    k = _check_k(kind, k)
-    s1 = _check_thermal("s1", s1)
-    max_level = _check_count("max_level", max_level)
+    k = check_k(kind, k)
+    s1 = check_thermal("s1", s1)
+    max_level = check_count("max_level", max_level)
     if cutoff is not None:
-        cutoff = _check_count("cutoff", cutoff)
+        cutoff = check_count("cutoff", cutoff)
     N = s1 / (1.0 - s1)
     if kind == ATTENUATE:
         G = 1.0 + k * k * N
@@ -275,8 +240,8 @@ def gaussian_noise_topup(s_tilde: float, s2: float) -> float:
     Gaussian displacements with E|alpha|^2 = v convolve the P-function
     of thermal(s~) up to that of thermal(s2).  Requires s~ <= s2.
     """
-    _check_thermal("s_tilde", s_tilde)
-    _check_thermal("s2", s2)
+    check_thermal("s_tilde", s_tilde)
+    check_thermal("s2", s2)
     if s_tilde > s2:
         raise ValueError("no noise top-up exists for s_tilde > s2")
     return s2 / (1.0 - s2) - s_tilde / (1.0 - s_tilde)
@@ -291,9 +256,9 @@ def classical_channel(
     Z ~ N(0, V2 - k^2 V1) reaches the target variance exactly; above it
     the optimal choice is Z = 0 and the variance stays k^2 Var(X).
     """
-    _check_positive("V1", V1)
-    _check_positive("V2", V2)
-    _check_positive("k", k)
+    check_positive("V1", V1)
+    check_positive("V2", V2)
+    check_positive("k", k)
     k0c = math.sqrt(V2 / V1)
     if k <= k0c:
         return ClassicalGaussian(k * x.mean, k * k * x.variance + (V2 - k * k * V1))

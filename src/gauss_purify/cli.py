@@ -20,7 +20,7 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .channels import AMPLIFY, ATTENUATE, channel_s_tilde, normalize_kind
+from .params import AMPLIFY, ATTENUATE, channel_s_tilde, kind_for_k, normalize_kind, ordered
 from .risk import (
     GaussianProblem,
     QubitScenario,
@@ -73,15 +73,12 @@ def _cmd_risk(args, parser: argparse.ArgumentParser) -> int:
         return 0
 
     # photon-statistics only: quantum side of the problem
-    if args.kind is not None:
-        kind = normalize_kind(args.kind)
-    else:
-        kind = ATTENUATE if args.k <= 1.0 else AMPLIFY
+    kind = normalize_kind(args.kind) if args.kind is not None else kind_for_k(args.k)
     st = channel_s_tilde(kind, args.s1, args.k)
-    ordered = args.s1 >= args.s2 if kind == ATTENUATE else args.s1 <= args.s2
+    reachable = ordered(kind, args.s1, args.s2)
     pairs = [
         ("kind", kind),
-        ("k0_quantum", quantum_threshold(kind, args.s1, args.s2) if ordered else None),
+        ("k0_quantum", quantum_threshold(kind, args.s1, args.s2) if reachable else None),
         ("s_tilde", st),
         ("quantum_risk", quantum_minimax_risk(args.s1, args.s2, args.k, kind)),
     ]
@@ -103,11 +100,11 @@ def _cmd_thresholds(args, parser: argparse.ArgumentParser) -> int:
     for name in ("s1", "s2"):
         if getattr(args, name) is None:
             parser.error(f"--gaussian requires --{name}")
-    pairs = []
-    if args.s1 >= args.s2:
-        pairs.append(("k0_att", quantum_threshold(ATTENUATE, args.s1, args.s2)))
-    if args.s1 <= args.s2:
-        pairs.append(("k0_amp", quantum_threshold(AMPLIFY, args.s1, args.s2)))
+    pairs = [
+        (f"k0_{kind}", quantum_threshold(kind, args.s1, args.s2))
+        for kind in (ATTENUATE, AMPLIFY)
+        if ordered(kind, args.s1, args.s2)
+    ]
     if args.v1 is not None and args.v2 is not None:
         pairs.append(("k0_classical", classical_threshold(args.v1, args.v2)))
     _emit(pairs, args.json)
@@ -158,8 +155,8 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
         parts = value.split(":")
         if len(parts) != 3:
             parser.error(f"bad --range {name}={value!r}, expected START:STOP:STEPS")
-        ranges[name] = (float(parts[0]), float(parts[1]), int(parts[2]))
-    ranges = {k: (float(v[0]), float(v[1]), int(v[2])) for k, v in ranges.items()}
+        ranges[name] = parts
+    ranges = {k: tuple(map(float, v)) for k, v in ranges.items()}
 
     fixed = {k: float(v) for k, v in settings.get("fixed", {}).items()}
     for name, value in _parse_assign(args.fix, "fix", parser).items():

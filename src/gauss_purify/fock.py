@@ -15,12 +15,12 @@ factorials so that high orders neither overflow nor lose the phase.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from .params import check_alpha, check_count, check_nonnegative, check_thermal
 
 __all__ = [
     "DiagonalFockState",
@@ -38,32 +38,6 @@ __all__ = [
 # Soft tolerance for normalization bookkeeping; acceptance tolerances are
 # all >= 1e-12 so 1e-12 of slack here never masks a real defect.
 _NORM_SLACK = 1e-12
-
-
-def _check_thermal(name: str, s: float) -> float:
-    # written so that NaN fails too: every comparison with NaN is False
-    if not 0.0 <= s < 1.0:
-        raise ValueError(f"{name} must lie in [0, 1), got {s}")
-    return float(s)
-
-
-def _check_positive(name: str, x: float) -> None:
-    if not (math.isfinite(x) and x > 0.0):
-        raise ValueError(f"{name} must be finite and positive, got {x}")
-
-
-def _check_count(name: str, n, least: int = 0) -> int:
-    # NaN, inf and fractions all fail is_integer
-    if not (float(n).is_integer() and n >= least):
-        raise ValueError(f"{name} must be an integer >= {least}, got {n}")
-    return int(n)
-
-
-def _check_alpha(alpha) -> complex:
-    alpha = complex(alpha)
-    if not cmath.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
-    return alpha
 
 
 @dataclass(frozen=True)
@@ -88,6 +62,7 @@ class DiagonalFockState:
     tail_bound: float
 
     def __post_init__(self):
+        object.__setattr__(self, "cutoff", check_count("cutoff", self.cutoff))
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 1 or probs.size != self.cutoff + 1:
             raise ValueError(
@@ -104,8 +79,7 @@ class DiagonalFockState:
         total = float(probs.sum())
         if total > 1.0 + 1e-9:
             raise ValueError(f"probabilities sum to {total} > 1")
-        if not (math.isfinite(self.tail_bound) and self.tail_bound >= 0.0):
-            raise ValueError(f"tail_bound must be finite and nonnegative, got {self.tail_bound}")
+        check_nonnegative("tail_bound", self.tail_bound)
         if total + self.tail_bound < 1.0 - 1e-9:
             raise ValueError(
                 f"sum(probs) + tail_bound = {total + self.tail_bound} < 1; "
@@ -118,12 +92,12 @@ class DiagonalFockState:
 
     def prob(self, n: int) -> float:
         """Occupation probability of |n>, zero beyond the cutoff."""
-        n = _check_count("n", n)
+        n = check_count("n", n)
         return float(self.probs[n]) if n <= self.cutoff else 0.0
 
     def padded(self, cutoff: int) -> np.ndarray:
         """Probability vector zero-extended to length cutoff+1."""
-        cutoff = _check_count("cutoff", cutoff)
+        cutoff = check_count("cutoff", cutoff)
         if cutoff < self.cutoff:
             raise ValueError("padding cannot shrink the support")
         out = np.zeros(cutoff + 1)
@@ -167,8 +141,8 @@ def thermal_state(s: float, cutoff: int) -> DiagonalFockState:
     DiagonalFockState
         probs[n] = (1 - s) s**n for n <= cutoff, tail_bound = s**(cutoff+1).
     """
-    s = _check_thermal("s", s)
-    cutoff = _check_count("cutoff", cutoff)
+    s = check_thermal("s", s)
+    cutoff = check_count("cutoff", cutoff)
     # at s = 0, 0.0 ** 0 == 1 gives the vacuum with a zero tail
     probs = (1.0 - s) * s ** np.arange(cutoff + 1)
     return DiagonalFockState(probs, cutoff, s ** (cutoff + 1))
@@ -181,8 +155,8 @@ def vacuum_state(cutoff: int = 0) -> DiagonalFockState:
 
 def number_state(n: int, cutoff: int | None = None) -> DiagonalFockState:
     """Fock state |n><n| as a distribution; cutoff defaults to n."""
-    n = _check_count("n", n)
-    cutoff = n if cutoff is None else _check_count("cutoff", cutoff)
+    n = check_count("n", n)
+    cutoff = n if cutoff is None else check_count("cutoff", cutoff)
     if cutoff < n:
         raise ValueError("cutoff must retain the occupied level")
     probs = np.zeros(cutoff + 1)
@@ -266,9 +240,9 @@ def displacement_matrix_element(m: int, n: int, alpha: complex) -> complex:
     -------
     complex
     """
-    m = _check_count("m", m)
-    n = _check_count("n", n)
-    alpha = _check_alpha(alpha)
+    m = check_count("m", m)
+    n = check_count("n", n)
+    alpha = check_alpha(alpha)
     if alpha == 0:
         return 1.0 + 0.0j if m == n else 0.0 + 0.0j
     return complex(_displacement_entries(np.asarray(m), np.asarray(n), alpha))
@@ -281,8 +255,8 @@ def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
     norms measure the truncation directly: 1 - sum_m |W[m, n]|^2 is the
     mass pushed past the cutoff.
     """
-    dim = _check_count("dim", dim, least=1)
-    alpha = _check_alpha(alpha)
+    dim = check_count("dim", dim, least=1)
+    alpha = check_alpha(alpha)
     if alpha == 0:
         return np.eye(dim, dtype=complex)
     idx = np.arange(dim)

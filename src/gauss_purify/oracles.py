@@ -24,27 +24,30 @@ from scipy.special import gammaln
 
 from . import risk as risk_mod
 from .channels import (
-    AMPLIFY,
-    ATTENUATE,
-    _check_k,
     amplify_kernel,
     attenuate_kernel,
-    channel_s_tilde,
     fock_ancilla_outputs,
     gain_matrix,
     gaussian_noise_topup,
-    normalize_kind,
     thinning_matrix,
 )
 from .fock import (
     DiagonalFockState,
-    _check_count,
-    _check_positive,
-    _check_thermal,
     displacement_matrix,
     displacement_matrix_element,
     l1_distance,
     thermal_state,
+)
+from .params import (
+    AMPLIFY,
+    ATTENUATE,
+    channel_s_tilde,
+    check_count,
+    check_k,
+    check_positive,
+    check_thermal,
+    kind_for_k,
+    normalize_kind,
 )
 
 __all__ = [
@@ -111,7 +114,7 @@ class AncillaCandidate:
 
     @classmethod
     def fock(cls, level: int) -> "AncillaCandidate":
-        level = _check_count("level", level)
+        level = check_count("level", level)
         w = np.zeros(level + 1)
         w[level] = 1.0
         return cls(w)
@@ -327,8 +330,8 @@ def simulate_channel(
     tail bound.
     """
     kind = normalize_kind(kind)
-    k = _check_k(kind, k, closed=True)
-    cutoff = _check_count("cutoff", cutoff)
+    k = check_k(kind, k, closed=True)
+    cutoff = check_count("cutoff", cutoff)
     out, beyond = _channel_outputs(kind, k, state.probs[None], ancilla.weights[None], cutoff)
     return DiagonalFockState(out[0, 0], cutoff, state.tail_bound + max(float(beyond[0, 0]), 0.0))
 
@@ -346,9 +349,9 @@ def kraus_operators(kind: str, k: float, in_cutoff: int, out_cutoff: int) -> lis
     carry less than `_EDGE_MASS` and are zero).
     """
     kind = normalize_kind(kind)
-    k = _check_k(kind, k, closed=True)
-    in_cutoff = _check_count("in_cutoff", in_cutoff)
-    out_cutoff = _check_count("out_cutoff", out_cutoff)
+    k = check_k(kind, k, closed=True)
+    in_cutoff = check_count("in_cutoff", in_cutoff)
+    out_cutoff = check_count("out_cutoff", out_cutoff)
     n = np.arange(in_cutoff + 1)
     _, needs = _sector_needs(kind, n, np.zeros_like(n))
     parts = []
@@ -372,8 +375,8 @@ def assemble_two_mode_unitary(kind: str, k: float, cutoff: int) -> tuple[np.ndar
     the restriction (exactly 0 for complete beamsplitter blocks).
     """
     kind = normalize_kind(kind)
-    k = _check_k(kind, k, closed=True)
-    cutoff = _check_count("cutoff", cutoff)
+    k = check_k(kind, k, closed=True)
+    cutoff = check_count("cutoff", cutoff)
     size = cutoff + 1
     _, needs = _sector_needs(kind, *np.divmod(np.arange(size * size), size))
     U = np.zeros((size * size, size * size))
@@ -427,7 +430,7 @@ def check_stochastic_ordering(
     pkappa_l.  Returns the worst margin and, if negative beyond 1e-12,
     the (kappa, m) witness.
     """
-    kappa_max = _check_count("kappa_max", kappa_max, least=1)
+    kappa_max = check_count("kappa_max", kappa_max, least=1)
     cdf = np.cumsum(fock_ancilla_outputs(kind, k, s1, kappa_max), axis=0)
     # rows kappa, columns m; argmin takes the first (kappa, m) at the minimum
     margins = (cdf[:, :1] - cdf).T
@@ -477,12 +480,12 @@ def ancilla_optimality_search(
     report flags any candidate beating the vacuum by more than 1e-9.
     """
     kind = normalize_kind(kind)
-    k = _check_k(kind, k, closed=True)
-    s1 = _check_thermal("s1", s1)
-    s2 = _check_thermal("s2", s2)
-    max_level = _check_count("max_level", max_level)
-    samples = _check_count("samples", samples)
-    seed = _check_count("seed", seed)
+    k = check_k(kind, k, closed=True)
+    s1 = check_thermal("s1", s1)
+    s2 = check_thermal("s2", s2)
+    max_level = check_count("max_level", max_level)
+    samples = check_count("samples", samples)
+    seed = check_count("seed", seed)
     n_in = _thermal_cutoff(s1, 1e-13)
     if kind == ATTENUATE:
         out_cut = n_in + max_level
@@ -577,8 +580,8 @@ def verify_noise_topup(
     displacements; the L1 gap must stay within 3/sqrt(samples).
     """
     v = gaussian_noise_topup(s_tilde, s2)
-    samples = _check_count("samples", samples, least=1)
-    seed = _check_count("seed", seed)
+    samples = check_count("samples", samples, least=1)
+    seed = check_count("seed", seed)
     cutoff = max(_thermal_cutoff(s2, 1e-14), 20)
     target = thermal_state(s2, cutoff).probs
     if v == 0.0:
@@ -636,16 +639,19 @@ def verify_covariance(
     from the two-mode unitary) is applied to the displaced thermal state
     and compared, in trace norm, against the displaced-by-k*alpha image
     of the undisplaced output.  Also extracts the output displacement of
-    the principal mode; its deviation from k * alpha is reported.
+    the principal mode; its deviation from k * alpha is reported.  Zero
+    points compare nothing, so the grid needs at least one nonzero point.
     """
     kind = normalize_kind(kind)
-    k = _check_k(kind, k, closed=True)
-    s1 = _check_thermal("s1", s1)
-    in_cutoff = _check_count("in_cutoff", in_cutoff)
+    k = check_k(kind, k, closed=True)
+    s1 = check_thermal("s1", s1)
+    in_cutoff = check_count("in_cutoff", in_cutoff)
     alphas = tuple(complex(a) for a in alpha_grid)
     # written so that NaN fails too: every comparison with NaN is False
     if not all(abs(a) <= 2.0 for a in alphas):
         raise ValueError(f"alpha_grid must hold finite points with |alpha| <= 2, got {alphas}")
+    if not any(alphas):
+        raise ValueError(f"alpha_grid must hold a nonzero point, got {alphas}")
     if kind == ATTENUATE:
         out_cutoff = in_cutoff
     else:
@@ -730,11 +736,11 @@ def case4_risk_quad(
     risk.case4_risk, once s_t^(n+1) + s2^(n+1) < abs_tol / 4.  Raises
     RuntimeError if the summed error estimates and tail exceed abs_tol.
     """
-    _check_thermal("s_t", s_t)
-    _check_thermal("s2", s2)
-    _check_positive("var1", var1)
-    _check_positive("var2", var2)
-    _check_positive("abs_tol", abs_tol)
+    check_thermal("s_t", s_t)
+    check_thermal("s2", s2)
+    check_positive("var1", var1)
+    check_positive("var2", var2)
+    check_positive("abs_tol", abs_tol)
     sig1, sig2 = math.sqrt(var1), math.sqrt(var2)
     L = _TAIL_SIGMAS * max(sig1, sig2)
     total = 0.0
@@ -903,7 +909,7 @@ def _check_kernel_vs_unitary(rng: np.random.Generator, fast: bool) -> dict:
     worst = 0.0
     for k in ks:
         # one pass over the sectors serves every s1 (vacuum ancilla)
-        kind = ATTENUATE if k < 1.0 else AMPLIFY
+        kind = kind_for_k(k)
         sims = _channel_outputs(kind, k, inputs, np.ones((1, 1)), cutoff)[0][:, 0]
         for src, sim in zip(srcs, sims):
             if kind == ATTENUATE:
@@ -1317,6 +1323,7 @@ def run_verification_suite(suite: str = "fast", seed: int = DEFAULT_SEED) -> dic
     """
     if suite not in ("fast", "full"):
         raise ValueError("suite must be 'fast' or 'full'")
+    seed = check_count("seed", seed)
     fast = suite == "fast"
     checks = []
     for idx, fn in enumerate(_SUITE_CHECKS):

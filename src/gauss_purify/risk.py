@@ -27,8 +27,17 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import AMPLIFY, ATTENUATE, channel_s_tilde, normalize_kind
-from .fock import _check_positive, _check_thermal
+from .params import (
+    AMPLIFY,
+    ATTENUATE,
+    channel_s_tilde,
+    check_open_unit,
+    check_positive,
+    check_thermal,
+    kind_for_k,
+    normalize_kind,
+    ordered,
+)
 
 __all__ = [
     "GaussianProblem",
@@ -79,8 +88,8 @@ def geometric_l1(sa: float, sb: float) -> tuple[float, int]:
     the tied index is kept inside m0; tied terms contribute zero, so
     either convention yields the same distance.
     """
-    _check_thermal("sa", sa)
-    _check_thermal("sb", sb)
+    check_thermal("sa", sa)
+    check_thermal("sb", sb)
     if sa == sb:
         return 0.0, 0
     hi, lo = (sa, sb) if sa > sb else (sb, sa)
@@ -101,8 +110,8 @@ def geometric_l1(sa: float, sb: float) -> tuple[float, int]:
 
 def gaussian_l1(var_a: float, var_b: float) -> float:
     """L1 distance between centered normals N(0, var_a) and N(0, var_b)."""
-    _check_positive("var_a", var_a)
-    _check_positive("var_b", var_b)
+    check_positive("var_a", var_a)
+    check_positive("var_b", var_b)
     if var_a == var_b:
         return 0.0
     hi, lo = (var_a, var_b) if var_a > var_b else (var_b, var_a)
@@ -120,8 +129,8 @@ def quantum_threshold(kind: str, s1: float, s2: float) -> float:
     Equal parameters sit on both boundaries and give 1.
     """
     kind = normalize_kind(kind)
-    _check_thermal("s1", s1)
-    _check_thermal("s2", s2)
+    check_thermal("s1", s1)
+    check_thermal("s2", s2)
     if s1 == s2:
         return 1.0
     if kind == ATTENUATE:
@@ -135,8 +144,8 @@ def quantum_threshold(kind: str, s1: float, s2: float) -> float:
 
 def classical_threshold(V1: float, V2: float) -> float:
     """Largest k with an exact classical rescaling N(u, V1) -> N(k u, V2)."""
-    _check_positive("V1", V1)
-    _check_positive("V2", V2)
+    check_positive("V1", V1)
+    check_positive("V2", V2)
     return math.sqrt(V2 / V1)
 
 
@@ -146,17 +155,16 @@ def quantum_minimax_risk(s1: float, s2: float, k: float, kind: str) -> float:
     Zero whenever the rescaled parameter s~ lands at or below s2 (a
     noise top-up then finishes the job exactly); otherwise the L1
     distance between thermal(s~) and thermal(s2).  k must lie in the
-    kind's closed regime (see channels.channel_s_tilde).
+    kind's closed regime (see params.channel_s_tilde).
     """
-    _check_thermal("s2", s2)
+    check_thermal("s2", s2)
     kind = normalize_kind(kind)
     st = channel_s_tilde(kind, s1, k)
     if st <= s2:
         return 0.0
     # rounding in s~ can land a hair past s2 at k = k0 exactly; the
     # threshold comparison is the authoritative zero test
-    ordered = s1 >= s2 if kind == ATTENUATE else s1 <= s2
-    if ordered and k <= quantum_threshold(kind, s1, s2):
+    if ordered(kind, s1, s2) and k <= quantum_threshold(kind, s1, s2):
         return 0.0
     return geometric_l1(st, s2)[0]
 
@@ -167,7 +175,7 @@ def classical_minimax_risk(V1: float, V2: float, k: float) -> float:
     Zero for k <= sqrt(V2/V1); otherwise the L1 distance between
     N(0, k^2 V1) and N(0, V2).
     """
-    _check_positive("k", k)
+    check_positive("k", k)
     if k <= classical_threshold(V1, V2):
         return 0.0
     return gaussian_l1(k * k * V1, V2)
@@ -207,11 +215,11 @@ def case4_risk(
     ValueError naming s_t and s2 when more than 2^24 terms would have
     to be evaluated one by one (both near 1).
     """
-    _check_thermal("s_t", s_t)
-    _check_thermal("s2", s2)
-    _check_positive("var1", var1)
-    _check_positive("var2", var2)
-    _check_positive("abs_tol", abs_tol)
+    check_thermal("s_t", s_t)
+    check_thermal("s2", s2)
+    check_positive("var1", var1)
+    check_positive("var2", var2)
+    check_positive("abs_tol", abs_tol)
     if var1 == var2:
         # common Gaussian factor integrates out term by term
         return geometric_l1(s_t, s2)[0]
@@ -268,15 +276,14 @@ class QubitScenario:
     rate: Optional[float] = None
 
     def __post_init__(self):
-        if not 0.0 < self.r0_norm < 1.0:
-            raise ValueError("r0_norm must lie in (0, 1)")
-        _check_positive("lam", self.lam)
+        check_open_unit("r0_norm", self.r0_norm)
+        check_positive("lam", self.lam)
         if self.lam * self.r0_norm > 1.0:
             raise ValueError("output Bloch length lam * r0_norm exceeds 1")
         if self.k is not None:
-            _check_positive("k", self.k)
+            check_positive("k", self.k)
         if self.rate is not None:
-            _check_positive("rate", self.rate)
+            check_positive("rate", self.rate)
         if self.k is not None and self.rate is not None:
             implied = self.k * self.k / (self.lam * self.lam)
             if abs(self.rate - implied) > 1e-9 * max(1.0, abs(implied)):
@@ -338,11 +345,11 @@ class GaussianProblem:
     k: float
 
     def __post_init__(self):
-        _check_thermal("s1", self.s1)
-        _check_thermal("s2", self.s2)
-        _check_positive("V1", self.V1)
-        _check_positive("V2", self.V2)
-        _check_positive("k", self.k)
+        check_thermal("s1", self.s1)
+        check_thermal("s2", self.s2)
+        check_positive("V1", self.V1)
+        check_positive("V2", self.V2)
+        check_positive("k", self.k)
 
     @classmethod
     def from_qubit(cls, scenario: QubitScenario) -> "GaussianProblem":
@@ -398,7 +405,7 @@ class RiskReport:
 
 
 def _threshold_pair(s1: float, s2: float, V1: float, V2: float) -> tuple[float, float]:
-    kq = quantum_threshold(ATTENUATE if s1 >= s2 else AMPLIFY, s1, s2)
+    kq = quantum_threshold(ATTENUATE if ordered(ATTENUATE, s1, s2) else AMPLIFY, s1, s2)
     return kq, classical_threshold(V1, V2)
 
 
@@ -412,8 +419,7 @@ def gaussian_risk(problem: GaussianProblem, abs_tol: float = 1e-8) -> RiskReport
     s1, s2, V1, V2, k = problem.s1, problem.s2, problem.V1, problem.V2, problem.k
     kq, kc = _threshold_pair(s1, s2, V1, V2)
     lo, hi = min(kq, kc), max(kq, kc)
-    # physical channel family: beamsplitter up to k = 1, amplifier beyond
-    st = channel_s_tilde(ATTENUATE if k <= 1.0 else AMPLIFY, s1, k)
+    st = channel_s_tilde(kind_for_k(k), s1, k)
     if k <= lo:
         return RiskReport(1, kq, kc, 0.0, 0.0, 0.0, None, st)
     if k <= hi:

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__
-from .channels import AMPLIFY, ATTENUATE, channel_s_tilde
+from .params import AMPLIFY, ATTENUATE, channel_s_tilde, check_count
 from .risk import (
     GaussianProblem,
     QubitScenario,
@@ -87,12 +87,13 @@ class _Plan:
 
 def _grid(config: SweepConfig, name: str, default: tuple[float, float, int]) -> np.ndarray:
     start, stop, steps = config.ranges.get(name, default)
-    steps = int(steps)
-    if steps < 2:
-        raise ValueError(f"range {name!r} needs at least 2 steps")
+    start, stop = float(start), float(stop)
+    steps = check_count(f"range {name!r} steps", steps, least=2)
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"range {name!r} needs finite endpoints, got {start}:{stop}")
     if not stop > start:
         raise ValueError(f"range {name!r} needs stop > start")
-    return np.linspace(float(start), float(stop), steps)
+    return np.linspace(start, stop, steps)
 
 
 def _fixed(config: SweepConfig, name: str, default: Optional[float]) -> float:

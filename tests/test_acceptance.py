@@ -15,6 +15,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -330,6 +331,7 @@ def test_criterion_11_sweep_csvs_are_faithful(tmp_path):
     _criterion(11, ok, "; ".join(detail))
 
 
+@pytest.mark.slow
 def test_criterion_12_verification_is_reproducible(tmp_path):
     """Two full verify runs at the same seed emit byte-identical JSON."""
     outs = []

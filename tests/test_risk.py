@@ -26,6 +26,7 @@ from gauss_purify.channels import (
     thinning_matrix,
 )
 from gauss_purify.fock import (
+    DiagonalFockState,
     displacement_matrix,
     displacement_matrix_element,
     from_probs,
@@ -39,6 +40,7 @@ from gauss_purify.oracles import (
     case4_risk_quad,
     check_stochastic_ordering,
     kraus_operators,
+    run_verification_suite,
     simulate_channel,
     verify_covariance,
     verify_noise_topup,
@@ -544,6 +546,20 @@ _NONFINITE_CASES = [
         ["in_cutoff"],
         (-1, 2.5, *_NONFINITE),
     ),
+    # a grid with no nonzero point would compare nothing and pass
+    (
+        verify_covariance,
+        dict(kind="amp", k=1.2, alpha_grid=[0.3], s1=0.3, in_cutoff=4),
+        ["alpha_grid"],
+        ([], [0]),
+    ),
+    (
+        DiagonalFockState,
+        dict(probs=np.ones(3) / 3, cutoff=2, tail_bound=0.0),
+        ["cutoff"],
+        (-1, 2.5, *_NONFINITE),
+    ),
+    (run_verification_suite, dict(suite="fast"), ["seed"], (-1, 2.5, *_NONFINITE)),
 ]
 
 
@@ -562,10 +578,48 @@ def test_nonfinite_parameters_raise_naming_them(fn, base, name, bad):
         fn(**dict(base, **{name: bad}))
 
 
-@pytest.mark.parametrize("module", ["", ".fock", ".channels", ".risk", ".sweeps", ".oracles"])
+@pytest.mark.parametrize(
+    "module", ["", ".params", ".fock", ".channels", ".risk", ".sweeps", ".oracles"]
+)
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module("gauss_purify" + module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_package_names_are_the_module_lists():
+    import gauss_purify
+    from gauss_purify import channels, fock, risk
+
+    assert gauss_purify.__all__ == fock.__all__ + channels.__all__ + risk.__all__
+    assert len(set(gauss_purify.__all__)) == len(gauss_purify.__all__)
+
+
+def test_integral_cutoff_is_stored_as_int():
+    state = DiagonalFockState(np.ones(3) / 3, 2.0, 0.0)
+    assert type(state.cutoff) is int
+    assert state.padded(4).tolist() == [1 / 3] * 3 + [0.0, 0.0]
+
+
+_STDLIB_PARAMS_CHILD = """
+import importlib.util, sys
+sys.modules["numpy"] = None  # any numpy import now raises ImportError
+spec = importlib.util.spec_from_file_location("params", sys.argv[1])
+params = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(params)
+print(params.channel_s_tilde(params.kind_for_k(0.5), 0.8, 0.5))
+"""
+
+
+def test_params_needs_only_the_standard_library():
+    import gauss_purify.params
+
+    proc = subprocess.run(
+        [sys.executable, "-c", _STDLIB_PARAMS_CHILD, gauss_purify.params.__file__],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert float(proc.stdout) == channel_s_tilde(ATTENUATE, 0.8, 0.5)
 
 
 def test_rate_branch_covers_every_branch():

@@ -113,6 +113,24 @@ def test_unknown_target_rejected(tmp_path):
     assert "fig9" not in FIGURE_TARGETS
 
 
+@pytest.mark.parametrize(
+    "k_range, message",
+    [
+        ((0.1, math.inf, 3), "range 'k' needs finite endpoints"),
+        ((0.1, 1.0, 2.5), "range 'k' steps must be an integer >= 2"),
+        ((0.1, 1.0, math.nan), "range 'k' steps must be an integer >= 2"),
+    ],
+)
+def test_bad_range_rejected_naming_it(tmp_path, k_range, message):
+    out = tmp_path / "custom.csv"
+    config = SweepConfig(
+        "custom", str(out), ranges={"k": k_range}, fixed={"r0": 0.5, "lam": 0.5}
+    )
+    with pytest.raises(ValueError, match=f"^{message}"):
+        run_sweep(config)
+    assert not out.exists()
+
+
 def test_runtime_error_row_becomes_counted_nan(tmp_path, monkeypatch):
     # a non-converged risk (e.g. the case-4 term cap) must not abort the sweep
     plan_fig2a = FIGURE_TARGETS["fig2a"]
