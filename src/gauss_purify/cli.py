@@ -156,7 +156,6 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
         if len(parts) != 3:
             parser.error(f"bad --range {name}={value!r}, expected START:STOP:STEPS")
         ranges[name] = parts
-    ranges = {k: tuple(map(float, v)) for k, v in ranges.items()}
 
     fixed = {k: float(v) for k, v in settings.get("fixed", {}).items()}
     for name, value in _parse_assign(args.fix, "fix", parser).items():

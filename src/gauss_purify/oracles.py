@@ -522,34 +522,37 @@ def ancilla_optimality_search(
 def _displaced_thermal_pmf(s: float, u_vals: np.ndarray, cutoff: int) -> np.ndarray:
     """Photon-number law of a displaced thermal state, rows per |alpha|^2 = u.
 
-    For s > 0 uses the stable upward recurrence for T_m = s^m L_m(-y),
-    y = u (1-s)^2 / s, giving P(m) = (1-s) exp(-(1-s) u) T_m; for s = 0
-    the law is Poisson(u).
+    P(m) = (1-s) exp(-(1-s) u) T_m with T_m = s^m L_m(-u (1-s)^2 / s),
+    from the stable upward recurrence
+    (m+1) T_(m+1) = ((2m+1) s + (1-s)^2 u) T_m - m s^2 T_(m-1), T_0 = 1;
+    at s = 0 it gives T_m = u^m / m!, the Poisson law.  T_m can grow
+    like exp((1-s) u) while the prefactor underflows, so once T_m may
+    pass 1e200 the rows above 1 are divided down to 1 and the factor
+    moves into the prefactor, in logs.
     """
     u = np.atleast_1d(np.asarray(u_vals, dtype=float))
-    out = np.empty((u.size, cutoff + 1))
-    if s == 0.0:
-        m = np.arange(cutoff + 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logp = -u[:, None] + m[None, :] * np.log(u[:, None]) - gammaln(m + 1)[None, :]
-        out = np.where(u[:, None] > 0.0, np.exp(logp), 0.0)
-        zero_rows = u <= 0.0
-        if np.any(zero_rows):
-            out[zero_rows] = 0.0
-            out[zero_rows, 0] = 1.0
-        return out
-    y = u * (1.0 - s) ** 2 / s
     prefac = (1.0 - s) * np.exp(-(1.0 - s) * u)
-    t_prev = np.ones_like(u)
-    out[:, 0] = prefac * t_prev
-    if cutoff >= 1:
-        t_cur = s * (1.0 + y)
-        out[:, 1] = prefac * t_cur
-        for m in range(1, cutoff):
-            t_next = s * ((2 * m + 1 + y) * t_cur - m * s * t_prev) / (m + 1)
-            out[:, m + 1] = prefac * t_next
-            t_prev, t_cur = t_cur, t_next
-    return out
+    log_prefac = None  # built at the first rescaling
+    drift = (1.0 - s) ** 2 * u
+    # one photon number per row, so every write is contiguous
+    out = np.empty((cutoff + 1, u.size))
+    out[0] = prefac
+    t_prev, t_cur = np.zeros_like(u), np.ones_like(u)
+    # every row's T_m stays below `bound`, as the subtracted term is >= 0
+    bound, top = 1.0, float(np.max(drift, initial=0.0))
+    for m in range(cutoff):
+        t_prev, t_cur = t_cur, (((2 * m + 1) * s + drift) * t_cur - m * s * s * t_prev) / (m + 1)
+        bound *= ((2 * m + 1) * s + top) / (m + 1)
+        if bound > 1e200:
+            if log_prefac is None:
+                log_prefac = math.log1p(-s) - (1.0 - s) * u
+            big = t_cur > 1.0
+            t_prev[big] /= t_cur[big]
+            log_prefac[big] += np.log(t_cur[big])
+            prefac[big] = np.exp(log_prefac[big])
+            t_cur[big] = bound = 1.0
+        out[m + 1] = prefac * t_cur
+    return out.T
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -385,23 +385,15 @@ class RiskReport:
     case: int
     k0_quantum: float
     k0_classical: float
+    s_tilde: Optional[float]
+    m0: Optional[int]
     classical_risk: float
     quantum_risk: float
     total_risk: float
-    m0: Optional[int]
-    s_tilde: Optional[float]
 
     def as_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "k0_quantum": self.k0_quantum,
-            "k0_classical": self.k0_classical,
-            "s_tilde": self.s_tilde,
-            "m0": self.m0,
-            "classical_risk": self.classical_risk,
-            "quantum_risk": self.quantum_risk,
-            "total_risk": self.total_risk,
-        }
+        """The fields by name, in the order `risk` prints them."""
+        return asdict(self)
 
 
 def _threshold_pair(s1: float, s2: float, V1: float, V2: float) -> tuple[float, float]:
@@ -421,17 +413,17 @@ def gaussian_risk(problem: GaussianProblem, abs_tol: float = 1e-8) -> RiskReport
     lo, hi = min(kq, kc), max(kq, kc)
     st = channel_s_tilde(kind_for_k(k), s1, k)
     if k <= lo:
-        return RiskReport(1, kq, kc, 0.0, 0.0, 0.0, None, st)
+        return RiskReport(1, kq, kc, st, None, 0.0, 0.0, 0.0)
     if k <= hi:
         if kq <= kc:
             dist, m0 = geometric_l1(st, s2)
-            return RiskReport(2, kq, kc, 0.0, dist, dist, m0, st)
+            return RiskReport(2, kq, kc, st, m0, 0.0, dist, dist)
         dist = classical_minimax_risk(V1, V2, k)
-        return RiskReport(3, kq, kc, dist, 0.0, dist, None, st)
+        return RiskReport(3, kq, kc, st, None, dist, 0.0, dist)
     q_dist, m0 = geometric_l1(st, s2)
     c_dist = gaussian_l1(k * k * V1, V2)
     total = case4_risk(st, s2, k * k * V1, V2, abs_tol)
-    return RiskReport(4, kq, kc, c_dist, q_dist, total, m0, st)
+    return RiskReport(4, kq, kc, st, m0, c_dist, q_dist, total)
 
 
 def combined_risk(scenario: QubitScenario, abs_tol: float = 1e-8) -> RiskReport:

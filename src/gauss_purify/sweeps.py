@@ -61,7 +61,10 @@ def worker_count(explicit: Optional[int] = None) -> int:
         return max(1, int(explicit))
     env = os.environ.get("GAUSS_PURIFY_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"GAUSS_PURIFY_THREADS must be an integer, got {env!r}") from None
     return min(8, os.cpu_count() or 1)
 
 
@@ -75,6 +78,8 @@ class SweepConfig:
     fixed: dict = field(default_factory=dict)
     mode: str = "qubit"
     threads: Optional[int] = None
+    # ("fixed" | "range", name) pairs the target's plan has read
+    _read: set = field(default_factory=set, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -86,8 +91,12 @@ class _Plan:
 
 
 def _grid(config: SweepConfig, name: str, default: tuple[float, float, int]) -> np.ndarray:
-    start, stop, steps = config.ranges.get(name, default)
-    start, stop = float(start), float(stop)
+    config._read.add(("range", name))
+    spec = config.ranges.get(name, default)
+    try:
+        start, stop, steps = map(float, spec)
+    except (TypeError, ValueError):
+        raise ValueError(f"range {name!r} must be [START, STOP, STEPS], got {spec!r}") from None
     steps = check_count(f"range {name!r} steps", steps, least=2)
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError(f"range {name!r} needs finite endpoints, got {start}:{stop}")
@@ -97,6 +106,7 @@ def _grid(config: SweepConfig, name: str, default: tuple[float, float, int]) -> 
 
 
 def _fixed(config: SweepConfig, name: str, default: Optional[float]) -> float:
+    config._read.add(("fixed", name))
     if name in config.fixed:
         return float(config.fixed[name])
     if default is None:
@@ -249,11 +259,16 @@ def run_sweep(config: SweepConfig) -> str:
     Rows with a domain violation (ValueError) or a non-converged risk
     (RuntimeError, such as the case-4 term cap) are emitted as nan and
     counted in the `# warnings:` metadata line rather than aborting the
-    sweep.
+    sweep.  A fixed or range name the target never reads raises
+    ValueError before anything is written.
     """
     if config.target not in FIGURE_TARGETS:
         raise ValueError(f"unknown sweep target {config.target!r}")
     plan = FIGURE_TARGETS[config.target](config)
+    for what, given in (("fixed", config.fixed), ("range", config.ranges)):
+        unread = [name for name in given if (what, name) not in config._read]
+        if unread:
+            raise ValueError(f"target {config.target!r} reads no {what} parameter {unread[0]!r}")
 
     def safe_row(point) -> list:
         try:

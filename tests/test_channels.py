@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import gammaln
 from scipy.stats import binom, nbinom
 
 from gauss_purify.channels import (
@@ -119,7 +121,7 @@ def test_amplify_worked_s_tilde():
 
 
 def test_amplify_auto_cutoff_certifies_loss():
-    out = amplify_kernel(2.0, thermal_state(0.5, 80), tail_target=1e-14)
+    out = amplify_kernel(2.0, thermal_state(0.5, 80))
     src_tail = thermal_state(0.5, 80).tail_bound
     assert out.tail_bound - src_tail <= 1e-13
 
@@ -223,8 +225,8 @@ def test_fock_ancilla_level_one_worked_weights():
     # att with s1 = 0.5, k = 0.5: N = 1, G = 1.25, eta = 0.6, and the
     # one photon survives the loss with probability 0.6, so
     # P(m) = 0.4 * 0.8 * 0.2^m + 0.6 * 0.64 * m * 0.2^(m-1)
-    outs = fock_ancilla_outputs(ATTENUATE, 0.5, 0.5, 1, cutoff=50)
-    m = np.arange(51)
+    outs = fock_ancilla_outputs(ATTENUATE, 0.5, 0.5, 1)
+    m = np.arange(outs.shape[0])
     want = 0.32 * 0.2**m + 0.384 * m * 0.2 ** np.maximum(m - 1, 0)
     assert np.max(np.abs(outs[:, 1] - want)) <= 1e-15
     assert np.max(np.abs(outs[:4, 1] - [0.32, 0.448, 0.1664, 0.04864])) <= 1e-15
@@ -241,3 +243,34 @@ def test_classical_channel_worked_examples():
     high = classical_channel(math.sqrt(2.0), 1.0, 1.0, ClassicalGaussian(0.0, 1.0))
     assert high.mean == 0.0
     assert high.variance == pytest.approx(2.0, abs=1e-15)
+
+
+def _binomial_mp(n: int, m: int, p: float):
+    return mpmath.binomial(n, m) * mpmath.mpf(p) ** m * (1 - mpmath.mpf(p)) ** (n - m)
+
+
+@pytest.mark.parametrize("k2", [0.25, 0.9025, 1.1025, 1.69, 4.0])
+def test_loss_and_gain_entries_match_mpmath(k2):
+    # loss P(m|n) = Bin(n, k^2)(m); gain P(m|n) = Bin(m, 1/k^2)(n) / k^2,
+    # over inputs n <= 500 and, for gain, outputs m <= 3000.  The
+    # log-gamma terms of the upper index `top` cancel, so the relative
+    # error grows as eps * lgamma(top + 1).  The tolerance is 1e-12 up to
+    # top ~ 250, then 4 eps lgamma(top + 1): 2.3e-12 at top = 500 and
+    # 1.9e-11 at top = 3000.  Measured errors stay below 2.2 eps lgamma.
+    k = math.sqrt(k2)
+    G = k * k
+    mat = thinning_matrix(k, 500) if k2 < 1.0 else gain_matrix(k, 500, 3000)
+    eps = np.finfo(float).eps
+    checked = 0
+    with mpmath.workdps(40):
+        for n in (0, 1, 2, 7, 64, 233, 500):
+            # 50 outputs spread over the column's entries above 1e-300
+            rows = np.flatnonzero(mat[:, n] > 1e-300)
+            for m in sorted(set(np.linspace(rows[0], rows[-1], 50).astype(int).tolist())):
+                want = _binomial_mp(n, m, G) if k2 < 1.0 else _binomial_mp(m, n, 1 / G) / G
+                if want <= 1e-300:
+                    continue
+                tol = max(1e-12, 4 * eps * float(gammaln(max(n, m) + 1)))
+                assert abs(mat[m, n] - want) <= tol * want, (n, m)
+                checked += 1
+    assert checked >= 150

@@ -200,6 +200,37 @@ def test_sweep_config_file_with_flag_override(tmp_path):
     assert not (tmp_path / "ignored.csv").exists()
 
 
+@pytest.mark.parametrize("k_range", [[0.1, 1.0], 0.5])
+def test_sweep_config_range_of_wrong_shape_is_named(tmp_path, k_range):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out.csv"
+    cfg.write_text(
+        json.dumps({"target": "fig2a", "output": str(out), "ranges": {"k": k_range}}),
+        encoding="utf-8",
+    )
+    proc = run_cli("sweep", "--config", str(cfg), check=False)
+    assert proc.returncode == 2
+    assert f"range 'k' must be [START, STOP, STEPS], got {k_range!r}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        (("--target", "custom", "--mode", "qubit", "--fix", "r0=0.5", "--fix", "lam=0.5",
+          "--fix", "bogus=1", "--range", "k=0.1:1:3"), "fixed parameter 'bogus'"),
+        (("--target", "fig4", "--range", "bogus=0.1:1:3"), "range parameter 'bogus'"),
+    ],
+)
+def test_sweep_unread_name_fails(tmp_path, args, name):
+    out = tmp_path / "z.csv"
+    proc = run_cli("sweep", *args, "--output", str(out), check=False)
+    assert proc.returncode == 2
+    assert f"reads no {name}" in proc.stderr
+    assert not out.exists()
+
+
 def test_sweep_unknown_target_fails():
     proc = run_cli("sweep", "--target", "fig9", "--output", "/tmp/x.csv", check=False)
     assert proc.returncode == 2

@@ -11,6 +11,7 @@ import json
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -41,6 +42,7 @@ from gauss_purify.oracles import (
     _channel_outputs,
     _check_diagonal_output,
     _check_threshold_exactness,
+    _displaced_thermal_pmf,
     _jsonable,
     _report,
     _thermal_cutoff,
@@ -361,6 +363,69 @@ def test_covariance_amplifier_output_displacement():
     assert rep.ok
     # output displacement of the alpha = 1 input is k alpha = sqrt(2)
     assert rep.gain_err <= 1e-8
+
+
+_DISPLACEMENTS = np.array([0.0, 1e-3, 2.5, 20.0])
+
+
+@pytest.mark.parametrize("s", [0.25, 0.7])
+def test_displaced_thermal_pmf_matches_laguerre_form(s):
+    # P(m) = (1-s) exp(-(1-s) u) s^m L_m(-u (1-s)^2 / s)
+    got = _displaced_thermal_pmf(s, _DISPLACEMENTS, 80)
+    assert got.shape == (_DISPLACEMENTS.size, 81)
+    with mpmath.workdps(40):
+        S = mpmath.mpf(s)
+        for row, u in zip(got, _DISPLACEMENTS):
+            U = mpmath.mpf(float(u))
+            for m, p in enumerate(row):
+                want = (1 - S) * mpmath.exp(-(1 - S) * U) * S**m * mpmath.laguerre(m, 0, -U * (1 - S) ** 2 / S)
+                if want > 1e-300:
+                    assert abs(p - want) <= 1e-12 * want, (u, m)
+
+
+def test_displaced_thermal_pmf_at_zero_temperature_is_poisson():
+    got = _displaced_thermal_pmf(0.0, _DISPLACEMENTS, 80)
+    assert got[0].tolist() == [1.0] + [0.0] * 80
+    with mpmath.workdps(40):
+        for row, u in zip(got[1:], _DISPLACEMENTS[1:]):
+            for m, p in enumerate(row):
+                want = mpmath.exp(-u) * mpmath.mpf(float(u)) ** m / mpmath.factorial(m)
+                if want > 1e-300:
+                    assert abs(p - want) <= 1e-12 * want, (u, m)
+
+
+@pytest.mark.parametrize("s", [0.0, 0.25])
+def test_displaced_thermal_pmf_far_displacement_stays_finite(s):
+    # exp(-(1-s) u) underflows to 0 and T_m passes the float range long
+    # before m reaches the bulk near u; the rescaled rows must still
+    # match the Laguerre form there
+    u = 3000.0
+    got = _displaced_thermal_pmf(s, np.array([u]), 3600)[0]
+    assert np.all(np.isfinite(got)) and abs(math.fsum(got) - 1.0) < 1e-10
+    with mpmath.workdps(40):
+        S, U = mpmath.mpf(s), mpmath.mpf(u)
+        for m in (2500, 2900, 3000, 3100, 3500):
+            if s == 0.0:
+                want = mpmath.exp(-U) * U**m / mpmath.factorial(m)
+            else:
+                want = (1 - S) * mpmath.exp(-(1 - S) * U) * S**m * mpmath.laguerre(m, 0, -U * (1 - S) ** 2 / S)
+            assert abs(got[m] - want) <= 1e-10 * want, m
+
+
+@pytest.mark.parametrize("s_tilde, s2", [(0.0, 0.9), (0.5, 0.8)])
+def test_topup_to_a_hot_target(s_tilde, s2):
+    # cutoffs 305 and 144 let the exact branch's quadrature reach
+    # displacements whose photon law needs the rescaled recurrence
+    rep = verify_noise_topup(s_tilde, s2, samples=2000)
+    assert rep.ok
+    assert rep.exact_max_err <= 1e-10
+
+
+@pytest.mark.parametrize("s", [0.0, 0.25, 0.7])
+def test_displaced_thermal_pmf_undisplaced_is_thermal(s):
+    got = _displaced_thermal_pmf(s, np.zeros(1), 80)[0]
+    want = thermal_state(s, 80).probs
+    assert np.max(np.abs(got - want) / np.maximum(want, 1e-300)) <= 1e-13
 
 
 def test_topup_fills_vacuum_to_thermal():

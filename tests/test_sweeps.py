@@ -15,7 +15,7 @@ import pytest
 
 from gauss_purify.channels import ATTENUATE
 from gauss_purify.risk import QubitScenario, optimal_rate, quantum_threshold
-from gauss_purify.sweeps import FIGURE_TARGETS, SweepConfig, run_sweep
+from gauss_purify.sweeps import FIGURE_TARGETS, SweepConfig, run_sweep, worker_count
 
 
 def _load(path):
@@ -129,6 +129,51 @@ def test_bad_range_rejected_naming_it(tmp_path, k_range, message):
     with pytest.raises(ValueError, match=f"^{message}"):
         run_sweep(config)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("k_range", [[0.1, 1.0], 0.5, [0.1, 1.0, 3, 4], "0.1:1:3"])
+def test_misshapen_range_rejected_naming_it(tmp_path, k_range):
+    out = tmp_path / "fig2a.csv"
+    with pytest.raises(ValueError, match=r"^range 'k' must be \[START, STOP, STEPS\], got "):
+        run_sweep(SweepConfig("fig2a", str(out), ranges={"k": k_range}))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "target, extra, message",
+    [
+        ("custom", dict(fixed={"r0": 0.5, "lam": 0.5, "bogus": 1.0}), "reads no fixed parameter 'bogus'"),
+        ("fig4", dict(ranges={"bogus": (0.1, 1.0, 3)}), "reads no range parameter 'bogus'"),
+        # k is swept by fig2a, not fixed
+        ("fig2a", dict(fixed={"k": 0.5}), "reads no fixed parameter 'k'"),
+        # fig6a reads r0 and lam; s1 belongs to other targets
+        ("fig6a", dict(fixed={"s1": 0.5}), "reads no fixed parameter 's1'"),
+    ],
+)
+def test_unread_sweep_names_rejected(tmp_path, target, extra, message):
+    out = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match=f"^target {target!r} {message}$"):
+        run_sweep(SweepConfig(target, str(out), **extra))
+    assert not out.exists()
+
+
+def test_custom_gaussian_mode_reads_its_own_names(tmp_path):
+    fixed = {"s1": 0.8, "s2": 0.4, "V1": 1.0, "V2": 1.0}
+    out = tmp_path / "g.csv"
+    run_sweep(SweepConfig("custom", str(out), {"k": (0.2, 1.6, 3)}, fixed, mode="gaussian"))
+    assert len(_load(out)[2]) == 3
+    with pytest.raises(ValueError, match="reads no fixed parameter 'r0'"):
+        run_sweep(SweepConfig("custom", str(out), {}, dict(fixed, r0=0.5), mode="gaussian"))
+
+
+def test_worker_count_names_a_bad_environment_value(monkeypatch):
+    monkeypatch.setenv("GAUSS_PURIFY_THREADS", "abc")
+    with pytest.raises(ValueError, match="^GAUSS_PURIFY_THREADS must be an integer, got 'abc'$"):
+        worker_count()
+    assert worker_count(2) == 2
+    for env, want in (("3", 3), ("0", 1), ("-2", 1)):
+        monkeypatch.setenv("GAUSS_PURIFY_THREADS", env)
+        assert worker_count() == want
 
 
 def test_runtime_error_row_becomes_counted_nan(tmp_path, monkeypatch):
