@@ -20,7 +20,15 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .params import AMPLIFY, ATTENUATE, channel_s_tilde, kind_for_k, normalize_kind, ordered
+from .params import (
+    AMPLIFY,
+    ATTENUATE,
+    SWEEP_TARGETS,
+    channel_s_tilde,
+    kind_for_k,
+    normalize_kind,
+    ordered,
+)
 from .risk import (
     GaussianProblem,
     QubitScenario,
@@ -32,8 +40,8 @@ from .risk import (
     quantum_threshold,
     qubit_thresholds,
     rate_branch,
+    _fmt,
 )
-from .sweeps import FIGURE_TARGETS, SweepConfig, _fmt, run_sweep
 
 
 def _print_pairs(pairs) -> None:
@@ -136,6 +144,9 @@ def _parse_assign(items, what: str, parser: argparse.ArgumentParser) -> dict:
 
 
 def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
+    # sweeps, and numpy with it, load for this subcommand alone
+    from .sweeps import SweepConfig, run_sweep
+
     settings = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -181,9 +192,9 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # only verify loads the oracle layer and, with it, scipy.integrate,
-    # scipy.linalg and scipy.special; the other subcommands load
-    # scipy.special at most, on their first case-4 series
+    # only verify loads the oracle layer (scipy.integrate, .linalg, .special);
+    # the other subcommands start on the standard library, and numpy loads
+    # with the first case-4 series (with scipy.special) or with sweeps
     from .oracles import run_verification_suite
 
     report = run_verification_suite(suite=args.suite, seed=args.seed)
@@ -241,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     rates.add_argument("--json", action="store_true")
 
     sweep = subs.add_parser("sweep", help="write a CSV parameter sweep")
-    sweep.add_argument("--target", choices=sorted(FIGURE_TARGETS), help="sweep target")
+    sweep.add_argument("--target", choices=sorted(SWEEP_TARGETS), help="sweep target")
     sweep.add_argument("--output", help="output CSV path")
     sweep.add_argument("--config", help="JSON config file (flags override it)")
     sweep.add_argument(

@@ -23,10 +23,14 @@ __all__ = [
     "check_open_unit",
     "check_count",
     "check_alpha",
+    "SWEEP_TARGETS",
 ]
 
 ATTENUATE = "att"
 AMPLIFY = "amp"
+
+# the keys of sweeps.FIGURE_TARGETS, which `cli` offers without loading sweeps
+SWEEP_TARGETS = tuple("fig2a fig2b fig3a fig3b fig4 fig5 fig6a fig6b fig6c custom".split())
 
 
 def check_thermal(name: str, s: float) -> float:

@@ -25,8 +25,6 @@ from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-import numpy as np
-
 from .params import (
     AMPLIFY,
     ATTENUATE,
@@ -58,6 +56,7 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_NUM = "%.12g"
 
 # Case-4 series terms are evaluated this many at a time, which bounds
 # memory when s~ near 1 needs millions of terms.
@@ -238,6 +237,7 @@ def case4_risk(
             f"s_t = {s_t} and s2 = {s2} are too close to 1: the case-4 series needs "
             f"{split} terms one by one, above the budget of {_TERM_BUDGET}"
         )
+    import numpy as np
     from scipy.special import erf, erfc, xlogy
 
     sig1, sig2 = math.sqrt(var1), math.sqrt(var2)
@@ -396,6 +396,18 @@ class RiskReport:
         return asdict(self)
 
 
+def _fmt(value) -> str:
+    """One output value as text: 12 significant digits for numbers,
+    `none` for None and `true`/`false` for bools (the CLI's spellings)."""
+    if hasattr(value, "dtype"):
+        value = value.item()  # a numpy scalar as the Python value it holds
+    if value is None or isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, (str, int)):
+        return str(value)
+    return _NUM % float(value)
+
+
 def _threshold_pair(s1: float, s2: float, V1: float, V2: float) -> tuple[float, float]:
     kq = quantum_threshold(ATTENUATE if ordered(ATTENUATE, s1, s2) else AMPLIFY, s1, s2)
     return kq, classical_threshold(V1, V2)
@@ -408,6 +420,7 @@ def gaussian_risk(problem: GaussianProblem, abs_tol: float = 1e-8) -> RiskReport
     continuous across each threshold, and zero contributions stay
     exactly zero on the boundary itself).
     """
+    check_positive("abs_tol", abs_tol)
     s1, s2, V1, V2, k = problem.s1, problem.s2, problem.V1, problem.V2, problem.k
     kq, kc = _threshold_pair(s1, s2, V1, V2)
     lo, hi = min(kq, kc), max(kq, kc)

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__
-from .params import AMPLIFY, ATTENUATE, channel_s_tilde, check_count
+from .params import AMPLIFY, ATTENUATE, SWEEP_TARGETS, channel_s_tilde, check_count
 from .risk import (
     GaussianProblem,
     QubitScenario,
@@ -34,26 +34,11 @@ from .risk import (
     quantum_threshold,
     qubit_thresholds,
     rate_branch,
+    _fmt,
+    _NUM,
 )
 
 __all__ = ["SweepConfig", "FIGURE_TARGETS", "run_sweep", "worker_count"]
-
-_NUM = "%.12g"
-
-
-def _fmt(value) -> str:
-    """One output value as text: 12 significant digits for numbers,
-    `none` for None and `true`/`false` for bools (the CLI's spellings)."""
-    if value is None:
-        return "none"
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return _NUM % float(value)
-
 
 def worker_count(explicit: Optional[int] = None) -> int:
     """Thread-pool size: explicit arg, else GAUSS_PURIFY_THREADS, else cores."""
@@ -251,6 +236,8 @@ FIGURE_TARGETS = {
     "fig6c": lambda cfg: _plan_fig6(cfg, 0.5, 0.25, (1.0, 2.5, 97)),
     "custom": _plan_custom,
 }
+if tuple(FIGURE_TARGETS) != SWEEP_TARGETS:
+    raise ImportError("FIGURE_TARGETS and params.SWEEP_TARGETS must name the same targets")
 
 
 def run_sweep(config: SweepConfig) -> str:

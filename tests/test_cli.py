@@ -68,8 +68,8 @@ _CASE4_ARGS = [
     "--V1", "0.8888888888888888", "--V2", "0.36", "--k", "0.8",
 ]
 
-# rates, thresholds and the case 1-3 risks are closed forms on numpy and
-# math alone; scipy.special loads with the first case-4 series
+# rates, thresholds and the case 1-3 risks are closed forms on math
+# alone; numpy and scipy.special load with the first case-4 series
 _LAZY_SCIPY_CHILD = f"""
 import contextlib, io, json, sys
 from gauss_purify import cli
@@ -87,8 +87,9 @@ cases = [
     for r0, lam, k in [("0.5", "0.5", "0.5"), ("0.3333333", "2.4", "0.36"), ("0.5", "0.5", "1.2")]
 ]
 scipy_mods = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+numpy_mods = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
 case4 = run("risk", "--gaussian", *{_CASE4_ARGS!r})
-print(json.dumps({{"cases": cases, "scipy": scipy_mods, "case4": case4}}))
+print(json.dumps({{"cases": cases, "scipy": scipy_mods, "numpy": numpy_mods, "case4": case4}}))
 """
 
 
@@ -101,6 +102,7 @@ def test_closed_form_calls_leave_out_scipy():
     got = json.loads(proc.stdout)
     assert got["cases"] == [1, 2, 3]
     assert got["scipy"] == []
+    assert got["numpy"] == []
     s1, s2, V1, V2, k = (float(v) for v in _CASE4_ARGS[1::2])
     want = gaussian_risk(GaussianProblem(s1, s2, V1, V2, k))
     assert got["case4"]["case"] == 4
@@ -140,6 +142,16 @@ def test_risk_rejects_unphysical_scenario():
     proc = run_cli("risk", "--qubit", "--r0", "0.9", "--lambda", "1.2", "--k", "0.5", check=False)
     assert proc.returncode == 2
     assert "error" in proc.stderr.lower()
+
+
+@pytest.mark.parametrize("k", ["0.5", "1.2"])  # cases 1 and 3, no series to truncate
+@pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+def test_risk_rejects_bad_abs_tol_in_every_case(k, tol):
+    proc = run_cli(
+        "risk", "--qubit", "--r0", "0.5", "--lambda", "0.5", "--k", k, "--abs-tol", tol, check=False
+    )
+    assert proc.returncode == 2
+    assert "abs_tol must be finite and positive" in proc.stderr
 
 
 def test_thresholds_gaussian_both_kinds():

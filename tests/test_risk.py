@@ -63,7 +63,7 @@ from gauss_purify.risk import (
     qubit_thresholds,
     rate_branch,
 )
-from gauss_purify.risk import _last_term
+from gauss_purify.risk import _fmt, _last_term
 
 thermals = st.floats(min_value=0.0, max_value=0.95)
 
@@ -437,6 +437,19 @@ _NONFINITE_CASES = [
         dict(s_t=0.5, s2=0.3, var1=1.5, var2=1.0),
         ["s_t", "s2", "var1", "var2", "abs_tol"],
     ),
+    # abs_tol is checked in every case, not only where a case-4 series runs
+    (
+        gaussian_risk,
+        dict(problem=GaussianProblem.from_qubit(QubitScenario(0.5, 0.5, k=0.5)), abs_tol=1e-8),
+        ["abs_tol"],
+        (0, -1, *_NONFINITE),
+    ),
+    (
+        gaussian_risk,
+        dict(problem=GaussianProblem.from_qubit(QubitScenario(0.5, 0.5, k=1.2)), abs_tol=1e-8),
+        ["abs_tol"],
+        (0, -1, *_NONFINITE),
+    ),
     # k-regime bounds written as comparisons must not let NaN or inf through
     (thinning_matrix, dict(k=0.5, cutoff=5), ["k"]),
     (gain_matrix, dict(k=1.5, in_cutoff=3, out_cutoff=5), ["k"]),
@@ -588,6 +601,50 @@ def test_package_names_are_the_module_lists():
 
     assert gauss_purify.__all__ == fock.__all__ + channels.__all__ + risk.__all__
     assert len(set(gauss_purify.__all__)) == len(gauss_purify.__all__)
+
+
+_LAZY_PACKAGE_CHILD = """
+import sys
+import gauss_purify
+from gauss_purify import cli, params
+assert [m for m in sys.modules if m.split(".")[0] == "numpy"] == [], "numpy loaded"
+state = gauss_purify.thermal_state(0.3, 5)
+assert "thermal_state" in dir(gauss_purify) and "__version__" in dir(gauss_purify)
+namespace = {}
+exec("from gauss_purify import *", namespace)
+assert set(gauss_purify.__all__) <= set(namespace)
+try:
+    gauss_purify.no_such_name
+except AttributeError:
+    print(state.cutoff)
+"""
+
+
+def test_package_loads_its_names_on_first_use():
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_PACKAGE_CHILD], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "5\n"
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (None, "none"),
+        ("x", "x"),
+        (True, "true"),
+        (np.bool_(False), "false"),
+        (3, "3"),
+        (np.int64(3), "3"),
+        (0.1, "0.1"),
+        (np.float64(1 / 3), "0.333333333333"),
+        (np.float32(0.1), "0.10000000149"),
+        (math.nan, "nan"),
+        (math.inf, "inf"),
+    ],
+)
+def test_fmt_spellings(value, text):
+    assert _fmt(value) == text
 
 
 def test_integral_cutoff_is_stored_as_int():
