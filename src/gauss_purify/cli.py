@@ -144,7 +144,7 @@ def _parse_assign(items, what: str, parser: argparse.ArgumentParser) -> dict:
 
 
 def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
-    # sweeps, and numpy with it, load for this subcommand alone
+    # sweeps load for this subcommand alone
     from .sweeps import SweepConfig, run_sweep
 
     settings = {}
@@ -192,9 +192,8 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # only verify loads the oracle layer (scipy.integrate, .linalg, .special);
-    # the other subcommands start on the standard library, and numpy loads
-    # with the first case-4 series (with scipy.special) or with sweeps
+    # only verify loads the oracle layer, and numpy and scipy with it; the
+    # other subcommands run on the standard library
     from .oracles import run_verification_suite
 
     report = run_verification_suite(suite=args.suite, seed=args.seed)

@@ -9,7 +9,7 @@ risk (worst-case L1 distance to the target) has closed forms.  When both
 thresholds are exceeded the two contributions couple into a product-law
 L1 distance: a series over photon numbers whose terms are normal-CDF
 differences at the density crossover, truncated once the geometric
-tails certify the remainder.
+tails certify the remainder and summed in O(1) on `math` alone.
 
 Qubit purification and dilution enter through a local Gaussian
 approximation of displaced spin ensembles: Bloch length r maps to
@@ -58,20 +58,28 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _NUM = "%.12g"
 
-# Case-4 series terms are evaluated this many at a time, which bounds
-# memory when s~ near 1 needs millions of terms.
-_BLOCK = 1 << 16
-
 # Past the index where the lighter photon-number weight drops below
 # 2^-60 of the heavier one, each case-4 term equals A_n + B_n to within
 # rounding, so the rest of the series sums in closed form.
 _LOG_NEGLIGIBLE = -60.0 * math.log(2.0)
 
-# Largest number of case-4 terms summed one by one (about 1 s at ~75 ns
-# a term).  s~ and s2 both near 1 need about 20/(1 - s~) of them; such
-# inputs are rejected before the loop instead of running for minutes.
-_TERM_BUDGET = 1 << 24
+# Case-4 erf sums over at most this many indices are summed term by
+# term; longer ones go through Euler-Maclaurin (_euler_maclaurin).
+_DIRECT_TERMS = 64
 
+# erf(sqrt(y)) rounds to exactly 1.0 for y >= 36 (erfc(6) ~ 2e-17).
+_Y_ONE = 36.0
+
+# Indices next to the sqrt-singular end summed directly before
+# Euler-Maclaurin takes over.
+_EM_SKIP = 8
+
+# Euler-Maclaurin runs with 8 Bernoulli corrections and is used only
+# where its remainder bound is below this, about the rounding of the sum.
+_EM_TOL = 1e-15
+# B_2k / (2k) for k = 1..8, and |B_16| / 16! for the remainder bound
+_BERNOULLI = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12, -3617 / 8160)
+_BERNOULLI_REM = 3617 / 510 / math.factorial(16)
 
 def _phi(x: float) -> float:
     """Standard normal CDF."""
@@ -92,19 +100,33 @@ def geometric_l1(sa: float, sb: float) -> tuple[float, int]:
     if sa == sb:
         return 0.0, 0
     hi, lo = (sa, sb) if sa > sb else (sb, sa)
-    if lo == 0.0:
-        m0 = 0
-    else:
-        # log-weight gap g(m) = offset + m * slope with slope > 0;
-        # m0 is the last index with g(m) <= 0
-        slope = math.log(hi / lo)
-        offset = math.log((1.0 - hi) / (1.0 - lo))
-        m0 = max(0, math.floor(-offset / slope))
-        while offset + (m0 + 1) * slope <= 0.0:
-            m0 += 1
-        while m0 > 0 and offset + m0 * slope > 0.0:
-            m0 -= 1
+    m0 = _weight_crossover(hi, lo)
     return 2.0 * (hi ** (m0 + 1) - lo ** (m0 + 1)), m0
+
+
+def _log_ratio(x: float, y: float) -> float:
+    """log(x / y) for x >= 0 and y > 0, to rounding also when x is close to y."""
+    if x == 0.0:
+        return -math.inf
+    if 0.5 * y <= x <= 2.0 * y:
+        return math.log1p((x - y) / y)  # x - y is exact here
+    return math.log(x) - math.log(y)
+
+
+def _weight_crossover(hi: float, lo: float) -> int:
+    """Largest m with (1 - hi) hi^m <= (1 - lo) lo^m, for hi > lo (0 if none)."""
+    if lo == 0.0:
+        return 0
+    # log-weight gap g(m) = offset + m * slope with slope > 0;
+    # m0 is the last index with g(m) <= 0
+    slope = _log_ratio(hi, lo)
+    offset = _log_ratio(1.0 - hi, 1.0 - lo)
+    m0 = max(0, math.floor(-offset / slope))
+    while offset + (m0 + 1) * slope <= 0.0:
+        m0 += 1
+    while m0 > 0 and offset + m0 * slope > 0.0:
+        m0 -= 1
+    return m0
 
 
 def gaussian_l1(var_a: float, var_b: float) -> float:
@@ -196,6 +218,164 @@ def _last_term(s_t: float, s2: float, tail_tol: float) -> int:
     return lo + below
 
 
+def _erfcx(z: float) -> float:
+    """exp(z^2) erfc(z) for z >= 0."""
+    if z < 8.0:
+        return math.exp(z * z) * math.erfc(z)
+    # asymptotic series; its terms fall below 1e-17 long before they turn
+    term = total = 1.0
+    k = 0
+    while abs(term) > 1e-17:
+        k += 1
+        term *= -(2 * k - 1) / (2.0 * z * z)
+        total += term
+    return total / (z * math.sqrt(math.pi))
+
+
+def _kummer(z: float) -> float:
+    """Kummer's M(1; 3/2; z) = sum_k (2z)^k / (2k+1)!! for z <= 1.
+
+    For z < -1 it is D(x)/x with Dawson's integral D at x = sqrt(-z),
+    summed without cancellation: as exp(-x^2) sum_k x^2k / (k! (2k+1))
+    up to x^2 = 40, asymptotically as sum_k (2k-1)!! / (2x^2)^(k+1) above.
+    """
+    if z >= -1.0:
+        term = total = 1.0
+        k = 0
+        while abs(term) > 1e-17 * total:
+            k += 1
+            term *= 2.0 * z / (2 * k + 1)
+            total += term
+        return total
+    x2 = -z
+    term = total = 1.0
+    k = 0
+    if x2 > 40.0:
+        while term > 1e-17:
+            k += 1
+            term *= (2 * k - 1) / (2.0 * x2)
+            total += term
+        return total / (2.0 * x2)
+    while term > 1e-17 * total:
+        k += 1
+        term *= x2 / k
+        total += term / (2 * k + 1)
+    return math.exp(-x2) * total
+
+
+def _taylor(w: float, y: float, mu: float, kappa: float, count: int) -> list:
+    """Taylor coefficients f_0..f_(count-1) at h = 0 of
+    w exp(-mu h) erf(sqrt(y + kappa h)), for y > 0.
+
+    u = w exp(-mu h) d/dh erf(sqrt(y + kappa h)) obeys
+    2 (y + kappa h) u' = -(2 (mu + kappa) (y + kappa h) + kappa) u, which
+    gives its coefficients by a two-term recurrence, and f' = u - mu f.
+    """
+    u_prev, u = 0.0, w * kappa * math.exp(-y) / math.sqrt(math.pi * y)
+    f = [w * math.erf(math.sqrt(y))]
+    for k in range(count - 1):
+        f.append((u - mu * f[-1]) / (k + 1))
+        u_prev, u = u, -(
+            (2.0 * (mu + kappa) * y + kappa * (2 * k + 1)) * u
+            + 2.0 * kappa * (mu + kappa) * u_prev
+        ) / (2.0 * y * (k + 1))
+    return f
+
+
+def _euler_maclaurin(mu: float, y0: float, kappa: float, m: int) -> tuple[float, float]:
+    """Sum over i = 0..m of F(i) = exp(-mu (i - r)) erf(sqrt(y0 + kappa i)).
+
+    y0 > 0 and kappa > 0, so i runs away from the sqrt-singular point;
+    r is 0 for mu > 0 and m for mu < 0, so the weight is at most 1.
+    Returns (estimate, bound on the Euler-Maclaurin remainder).
+
+    The integral of F is closed form: integrating by parts, it is
+    (Psi(0) - Psi(m)) / mu with Psi = weight * (erf(sqrt y) - L(y)), where
+    L(y) = exp(-y) chi(y) / sqrt(pi) and chi' - rho chi = y^(-1/2),
+    rho = 1 + mu / kappa.  chi is -sqrt(pi/rho) erfcx(sqrt(rho y)) when
+    rho y reaches past 1, else 2 sqrt(y) M(1; 3/2; rho y); both ends use
+    the same one.  The remainder is at most |B_16|/16! times the integral
+    of |F^(16)|, which Leibniz's rule bounds through the derivatives of
+    erf(sqrt y) at y0: (-1)^j d^j/dy^j of exp(-y) y^(-1/2) is positive and
+    decreasing, so each |G^(j)| integrates to at most |G^(j-1)(0)|.
+    """
+    order = 2 * len(_BERNOULLI)
+    r = 0 if mu > 0.0 else m
+    y1 = y0 + kappa * m
+    rho = 1.0 + mu / kappa
+    if rho > 0.0 and rho * y1 > 1.0:
+        def tail(y):
+            return -math.exp(-y) * _erfcx(math.sqrt(rho * y)) / math.sqrt(rho)
+    else:
+        def tail(y):
+            return math.exp(-y) * 2.0 * math.sqrt(y / math.pi) * _kummer(rho * y)
+    heads = []
+    for i, y in ((0, y0), (m, y1)):
+        w = math.exp(-mu * (i - r))
+        f = _taylor(w, y, mu, kappa, order)
+        heads.append((f, f[0] - w * tail(y)))
+    (f0, psi0), (f1, psi1) = heads
+    total = (psi0 - psi1) / mu + 0.5 * (f0[0] + f1[0])
+    for k, coef in enumerate(_BERNOULLI):
+        total += coef * (f1[2 * k + 1] - f0[2 * k + 1])
+    # remainder: Leibniz over F^(16) = sum_j C(16, j) (-mu)^(16-j) w G^(j)
+    g = _taylor(1.0, y0, 0.0, kappa, order)
+    a = abs(mu)
+    bound = a ** (order - 1) * (-math.expm1(-a * m)) + order * a ** (order - 1)
+    binom, fact = order, 1.0
+    for j in range(2, order + 1):
+        binom = binom * (order - j + 1) // j
+        fact *= j - 1
+        bound += binom * a ** (order - j) * fact * abs(g[j - 1])
+    return total, _BERNOULLI_REM * bound
+
+
+def _erf_terms(s: float, lo: int, hi: int, a: float, b: float) -> float:
+    """Sum of (1 - s) s^n erf(sqrt(a + b n)) over lo <= n < hi, term by term."""
+    terms = (s**n * math.erf(math.sqrt(max(a + b * n, 0.0))) for n in range(lo, hi))
+    return (1.0 - s) * math.fsum(terms)
+
+
+def _erf_sum(s: float, lo: int, hi: int, a: float, b: float) -> float:
+    """Sum of (1 - s) s^n erf(sqrt(a + b n)) over lo <= n < hi, a + b n > 0.
+
+    Where a + b n >= 36 the erf is 1.0 and the terms sum as a geometric
+    series.  The rest is summed term by term when it is short; otherwise
+    its _EM_SKIP indices next to the end where a + b n -> 0 are summed
+    term by term and the others by Euler-Maclaurin, unless the remainder
+    bound exceeds _EM_TOL (s far from 1), where every term is summed.
+    """
+    if hi - lo <= _DIRECT_TERMS:
+        return _erf_terms(s, lo, hi, a, b)
+    if b == 0.0:
+        # underflowed: this variance is negligible next to the other one
+        return math.erf(math.sqrt(a)) * (s**lo - s**hi)
+    # a + b n reaches _Y_ONE at n = t
+    t = min(max((_Y_ONE - a) / b, lo - 1.0), float(hi))
+    if b > 0.0:
+        one = max(lo, math.ceil(t))
+        total, lo_r, hi_r = s**one - s**hi, lo, one
+    else:
+        one = min(hi, math.floor(t) + 1)
+        total, lo_r, hi_r = s**lo - s**one, one, hi
+    if hi_r - lo_r <= _DIRECT_TERMS:
+        return total + _erf_terms(s, lo_r, hi_r, a, b)
+    mu = -math.log(s)
+    m = hi_r - lo_r - _EM_SKIP - 1
+    # a + b n > 0 on the run, so _EM_SKIP indices inside its near end it is
+    # above _EM_SKIP |b|; the max only undoes rounding in a + b n
+    if b > 0.0:
+        skip, first = (lo_r, lo_r + _EM_SKIP), lo_r + _EM_SKIP
+        value, bound = _euler_maclaurin(mu, max(a + b * first, _EM_SKIP * b), b, m)
+    else:
+        skip, first = (hi_r - _EM_SKIP, hi_r), lo_r
+        value, bound = _euler_maclaurin(-mu, max(a + b * (first + m), -_EM_SKIP * b), -b, m)
+    weight = (1.0 - s) * s**first
+    if weight * bound > _EM_TOL:
+        return total + _erf_terms(s, lo_r, hi_r, a, b)
+    return total + weight * value + _erf_terms(s, *skip, a, b)
+
+
 def case4_risk(
     s_t: float, s2: float, var1: float, var2: float, abs_tol: float = 1e-8
 ) -> float:
@@ -203,16 +383,23 @@ def case4_risk(
 
     Computes integral dx sum_n |A_n g1(x) - B_n g2(x)| with weights
     A_n = (1-s_t) s_t^n, B_n = (1-s2) s2^n and g1 = N(0, var1),
-    g2 = N(0, var2) densities.  Each term is closed form: the densities
-    cross at |x| = x_n, and the term is |A_n erf - B_n erf| inside plus
-    |A_n erfc - B_n erfc| outside (|A_n - B_n| when they never cross).
-    The series stops at the first n whose summed geometric tails
-    s_t^(n+1) + s2^(n+1) fall below abs_tol / 4, which bounds the
-    dropped remainder.  Terms are evaluated in numpy blocks up to the
-    index where the lighter weight becomes negligible; the terms after
-    it sum to the weights' geometric tails in closed form.  Raises
-    ValueError naming s_t and s2 when more than 2^24 terms would have
-    to be evaluated one by one (both near 1).
+    g2 = N(0, var2) densities.  The series stops at the first n whose
+    summed geometric tails s_t^(n+1) + s2^(n+1) fall below abs_tol / 4,
+    which bounds the dropped remainder; past the index where the lighter
+    weight becomes negligible, the terms sum to the weights' geometric
+    tails.  Up to there, every part is closed form or O(1):
+
+    - The densities cross at |x| = x_n with x_n^2 = alpha + beta n, affine
+      in n.  Where x_n^2 <= 0 the term is |A_n - B_n|, a pair of
+      geometric sums split at the weight crossover m0 of geometric_l1.
+    - The other indices form one run.  There the sign of the term is
+      fixed, sigma = sign(var2 - var1), and the term is
+      sigma [2 (A_n erf u1 - B_n erf u2) - A_n + B_n] with
+      u_i = x_n / sqrt(2 var_i); the erf sums go through _erf_sum.
+
+    The Euler-Maclaurin remainders are kept below 1e-15 each, so the
+    result agrees with a term-by-term sum to rounding.  Runs on math
+    alone, in O(1) time for any s_t, s2 < 1.
     """
     check_thermal("s_t", s_t)
     check_thermal("s2", s2)
@@ -229,31 +416,41 @@ def case4_risk(
     last = _last_term(s_t, s2, 0.25 * abs_tol)
     # lighter/heavier weight ratio is log-linear in n: offset + n * slope
     s_lo, s_hi = min(s_t, s2), max(s_t, s2)
-    offset = math.log1p(-s_lo) - math.log1p(-s_hi)
-    slope = math.log(s_lo / s_hi) if s_lo > 0.0 else -math.inf
+    offset = _log_ratio(1.0 - s_lo, 1.0 - s_hi)
+    slope = _log_ratio(s_lo, s_hi)
     split = min(last + 1, max(0, math.floor((_LOG_NEGLIGIBLE - offset) / slope) + 1))
-    if split > _TERM_BUDGET:
-        raise ValueError(
-            f"s_t = {s_t} and s2 = {s2} are too close to 1: the case-4 series needs "
-            f"{split} terms one by one, above the budget of {_TERM_BUDGET}"
-        )
-    import numpy as np
-    from scipy.special import erf, erfc, xlogy
 
-    sig1, sig2 = math.sqrt(var1), math.sqrt(var2)
-    # x_n^2 = scale * (log(B_n / A_n) + log(sig1 / sig2))
-    scale = 2.0 * var1 * var2 / (var1 - var2)
+    # x_n^2 = 2 var1 var2 / |var1 - var2| * (alpha + beta n), where
+    # alpha + beta n = +-log(B_n sig1 / (A_n sig2)), signed like var1 - var2;
+    # beta only matters when some n > 0 is summed, i.e. both weights > 0
+    sign = 1.0 if var1 > var2 else -1.0
+    alpha = sign * (_log_ratio(1.0 - s2, 1.0 - s_t) + 0.5 * _log_ratio(var1, var2))
+    beta = sign * (slope if s2 < s_t else -slope) if split > 1 else 0.0
+    # densities cross for lo <= n < hi
+    if beta > 0.0:
+        lo, hi = min(split, max(0, math.floor(-alpha / beta) + 1)), split
+    elif beta < 0.0:
+        lo, hi = 0, min(split, max(0, math.ceil(-alpha / beta)))
+    else:
+        lo, hi = 0, split if alpha > 0.0 else 0
+
+    m0 = _weight_crossover(s_hi, s_lo)
+
+    def gap(p: int, q: int) -> float:
+        # sum of A_n - B_n over p <= n < q
+        return (s_t**p - s_t**q) - (s2**p - s2**q)
+
     total = 0.0
-    for start in range(0, split, _BLOCK):
-        n = np.arange(start, min(start + _BLOCK, split))
-        log_a = math.log1p(-s_t) + xlogy(n, s_t)
-        log_b = math.log1p(-s2) + xlogy(n, s2)
-        # no crossing (x_n^2 <= 0) clips to x = 0, where the term is |A - B|
-        x = np.sqrt(np.maximum(scale * (log_b - log_a + math.log(sig1 / sig2)), 0.0))
-        u1, u2 = x / (_SQRT2 * sig1), x / (_SQRT2 * sig2)
-        A, B = np.exp(log_a), np.exp(log_b)
-        terms = np.abs(A * erf(u1) - B * erf(u2)) + np.abs(A * erfc(u1) - B * erfc(u2))
-        total += float(terms.sum())
+    for p, q in ((0, lo), (hi, split)):
+        if p < q:
+            cut = min(max(m0 + 1, p), q)
+            total += abs(gap(p, cut)) + abs(gap(cut, q))
+    if lo < hi:
+        # u_i^2 = x_n^2 / (2 var_i); the term's sign is that of var2 - var1
+        c1, c2 = var2 / abs(var1 - var2), var1 / abs(var1 - var2)
+        erf_a = _erf_sum(s_t, lo, hi, alpha * c1, beta * c1)
+        erf_b = _erf_sum(s2, lo, hi, alpha * c2, beta * c2)
+        total -= sign * (2.0 * (erf_a - erf_b) - gap(lo, hi))
     # terms split..last: sum of A_n + B_n
     total += s_t**split - s_t ** (last + 1) + s2**split - s2 ** (last + 1)
     return min(total, 2.0)

@@ -19,8 +19,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-import numpy as np
-
 from . import __version__
 from .params import AMPLIFY, ATTENUATE, SWEEP_TARGETS, channel_s_tilde, check_count
 from .risk import (
@@ -75,7 +73,10 @@ class _Plan:
     row_fn: Callable
 
 
-def _grid(config: SweepConfig, name: str, default: tuple[float, float, int]) -> np.ndarray:
+def _grid(config: SweepConfig, name: str, default: tuple[float, float, int]) -> list:
+    """The range `name` as numpy.linspace(start, stop, steps) would give it,
+    bit for bit: i * step + start, the last point stop, and numpy's
+    (i / (steps - 1)) * delta + start where the step rounds to 0."""
     config._read.add(("range", name))
     spec = config.ranges.get(name, default)
     try:
@@ -87,7 +88,13 @@ def _grid(config: SweepConfig, name: str, default: tuple[float, float, int]) -> 
         raise ValueError(f"range {name!r} needs finite endpoints, got {start}:{stop}")
     if not stop > start:
         raise ValueError(f"range {name!r} needs stop > start")
-    return np.linspace(start, stop, steps)
+    div = steps - 1
+    step = (stop - start) / div
+    if step == 0.0:
+        points = [i / div * (stop - start) + start for i in range(div)]
+    else:
+        points = [i * step + start for i in range(div)]
+    return points + [stop]
 
 
 def _fixed(config: SweepConfig, name: str, default: Optional[float]) -> float:
@@ -119,13 +126,13 @@ def _plan_fig2(config: SweepConfig, kind: str) -> _Plan:
         # thresholds print at full precision so readers recover them exactly
         ("k0_quantum", repr(k0)),
     ]
-    return _Plan(["k", "s_tilde", "risk"], meta, [float(k) for k in ks], row)
+    return _Plan(["k", "s_tilde", "risk"], meta, ks, row)
 
 
 def _plan_fig3(config: SweepConfig, kind: str) -> _Plan:
     s1s = _grid(config, "s1", (0.02, 0.98, 49))
     s2s = _grid(config, "s2", (0.02, 0.98, 49))
-    points = [(float(a), float(b)) for a in s1s for b in s2s]
+    points = [(a, b) for a in s1s for b in s2s]
 
     # outside the threshold's domain quantum_threshold raises, and
     # run_sweep writes the point as a nan row
@@ -147,7 +154,7 @@ def _plan_fig3(config: SweepConfig, kind: str) -> _Plan:
 def _plan_fig4(config: SweepConfig) -> _Plan:
     r0s = _grid(config, "r0", (0.02, 0.98, 49))
     lams = _grid(config, "lam", (0.02, 0.98, 49))
-    points = [(float(r), float(lam)) for r in r0s for lam in lams]
+    points = [(r, lam) for r in r0s for lam in lams]
 
     def row(point: tuple) -> list:
         r, lam = point
@@ -160,7 +167,7 @@ def _plan_fig4(config: SweepConfig) -> _Plan:
 def _plan_fig5(config: SweepConfig) -> _Plan:
     r0s = _grid(config, "r0", (0.05, 0.95, 46))
     routs = _grid(config, "r_out", (0.05, 0.95, 46))
-    points = [(float(r), float(ro)) for r in r0s for ro in routs]
+    points = [(r, ro) for r in r0s for ro in routs]
 
     def row(point: tuple) -> list:
         r, ro = point
@@ -174,17 +181,17 @@ def _plan_fig5(config: SweepConfig) -> _Plan:
 _RISK_HEADER = ["k", "case", "s_tilde", "classical_risk", "quantum_risk", "total_risk"]
 
 
-def _risk_plan(meta: list, ks: np.ndarray, report: Callable) -> _Plan:
+def _risk_plan(meta: list, ks: list, report: Callable) -> _Plan:
     """k sweep writing the RiskReport `report(k)` of every grid point."""
 
     def row(k: float) -> list:
         rep = report(k)
         return [k, *(getattr(rep, name) for name in _RISK_HEADER[1:])]
 
-    return _Plan(_RISK_HEADER, meta, [float(k) for k in ks], row)
+    return _Plan(_RISK_HEADER, meta, ks, row)
 
 
-def _qubit_risk_plan(meta: list, r0: float, lam: float, ks: np.ndarray) -> _Plan:
+def _qubit_risk_plan(meta: list, r0: float, lam: float, ks: list) -> _Plan:
     kq, kc, lt = qubit_thresholds(QubitScenario(r0, lam))
     meta = meta + [
         ("fixed", f"r0={_NUM % r0},lam={_NUM % lam}"),
@@ -243,10 +250,10 @@ if tuple(FIGURE_TARGETS) != SWEEP_TARGETS:
 def run_sweep(config: SweepConfig) -> str:
     """Execute a sweep and write its CSV; returns the output path.
 
-    Rows with a domain violation (ValueError) or a non-converged risk
-    (RuntimeError, such as the case-4 term cap) are emitted as nan and
-    counted in the `# warnings:` metadata line rather than aborting the
-    sweep.  A fixed or range name the target never reads raises
+    Rows whose evaluation raises ValueError (a point outside the domain,
+    such as a fig3 threshold across its ordering) or RuntimeError are
+    emitted as nan and counted in the `# warnings:` metadata line rather
+    than aborting the sweep.  A fixed or range name the target never reads raises
     ValueError before anything is written.
     """
     if config.target not in FIGURE_TARGETS:

@@ -68,45 +68,53 @@ _CASE4_ARGS = [
     "--V1", "0.8888888888888888", "--V2", "0.36", "--k", "0.8",
 ]
 
-# rates, thresholds and the case 1-3 risks are closed forms on math
-# alone; numpy and scipy.special load with the first case-4 series
+# rates, thresholds, the risks of all four cases and a custom sweep run
+# on math alone: neither numpy nor scipy is loaded after them
 _LAZY_SCIPY_CHILD = f"""
 import contextlib, io, json, sys
 from gauss_purify import cli
 
-def run(*argv):
+def run(*argv, as_json=True):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert cli.main(list(argv) + ["--json"]) == 0
-    return json.loads(out.getvalue())
+        assert cli.main(list(argv) + (["--json"] if as_json else [])) == 0
+    return json.loads(out.getvalue()) if as_json else out.getvalue()
 
 run("rates", "--r0", "0.8", "--lambda", "0.4166666666666667")
 run("thresholds", "--qubit", "--r0", "0.5", "--lambda", "0.5")
 cases = [
     run("risk", "--qubit", "--r0", r0, "--lambda", lam, "--k", k)["case"]
-    for r0, lam, k in [("0.5", "0.5", "0.5"), ("0.3333333", "2.4", "0.36"), ("0.5", "0.5", "1.2")]
+    for r0, lam, k in [
+        ("0.5", "0.5", "0.5"), ("0.3333333", "2.4", "0.36"), ("0.5", "0.5", "1.2"),
+        ("1e-9", "2.0", "1.2"),
+    ]
 ]
+case4 = run("risk", "--gaussian", *{_CASE4_ARGS!r})
+run("sweep", "--target", "custom", "--fix", "r0=0.3333333", "--fix", "lam=2.4",
+    "--range", "k=0.02:1.0:20", "--threads", "1", "--output", sys.argv[1], as_json=False)
 scipy_mods = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 numpy_mods = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
-case4 = run("risk", "--gaussian", *{_CASE4_ARGS!r})
 print(json.dumps({{"cases": cases, "scipy": scipy_mods, "numpy": numpy_mods, "case4": case4}}))
 """
 
 
-def test_closed_form_calls_leave_out_scipy():
+def test_closed_form_calls_leave_out_scipy(tmp_path):
     from gauss_purify.risk import GaussianProblem, gaussian_risk
 
+    out = tmp_path / "custom.csv"
     proc = subprocess.run(
-        [sys.executable, "-c", _LAZY_SCIPY_CHILD], capture_output=True, text=True, check=True
+        [sys.executable, "-c", _LAZY_SCIPY_CHILD, str(out)],
+        capture_output=True, text=True, check=True,
     )
     got = json.loads(proc.stdout)
-    assert got["cases"] == [1, 2, 3]
+    assert got["cases"] == [1, 2, 3, 4]
     assert got["scipy"] == []
     assert got["numpy"] == []
     s1, s2, V1, V2, k = (float(v) for v in _CASE4_ARGS[1::2])
     want = gaussian_risk(GaussianProblem(s1, s2, V1, V2, k))
     assert got["case4"]["case"] == 4
     assert got["case4"]["total_risk"] == want.total_risk
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 8 + 1 + 20
 
 
 def test_risk_qubit_case2():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import itertools
 import math
 import subprocess
 import sys
@@ -63,6 +64,7 @@ from gauss_purify.risk import (
     qubit_thresholds,
     rate_branch,
 )
+import gauss_purify.risk as risk_mod
 from gauss_purify.risk import _fmt, _last_term
 
 thermals = st.floats(min_value=0.0, max_value=0.95)
@@ -165,6 +167,14 @@ def test_geometric_l1_float_tie():
     value, m0 = geometric_l1(0.7, 0.3)
     assert abs(value - 0.8) < 1e-12
     assert m0 in (0, 1)
+
+
+def test_geometric_l1_adjacent_floats_near_one():
+    # weights 2^-53 hi^m and 2^-52 lo^m cross at m = ln 2 / log(hi / lo),
+    # where hi^m = 1/2 and lo^m = 1/4; hi / lo itself rounds by half its gap
+    value, m0 = geometric_l1(1 - 2**-53, 1 - 2**-52)
+    assert abs(value - 0.5) < 1e-9
+    assert abs(m0 / (math.log(2) * 2**53) - 1) < 1e-9
 
 
 # --- quantum minimax risk ---
@@ -279,10 +289,50 @@ def _case4_mpmath(s_t, s2, var1, var2):
         (0.5, 0.2, 1.0, 1.0 * (1.0 + 1e-6)),  # near-equal variances
         (0.56, 0.55, 1.18, 1.18 * (1.0 - 1e-8)),
         (0.999, 0.3, 1.5, 1.0),  # s~ near 1
+        # s~ and s2 near 1: Euler-Maclaurin sums, crossings at the head and the tail
+        (0.999, 0.998, 1.5, 1.0),
+        (0.999, 0.99, 2.0, 0.5),
+        (0.99, 0.995, 1.5, 1.0),
     ],
 )
 def test_case4_matches_mpmath_series(args):
     assert abs(case4_risk(*args, abs_tol=1e-12) - _case4_mpmath(*args)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "args, sign",
+    [
+        ((0.99995, 0.9999, 1.5, 1.0), -1),  # crossing at the head: summed from its far end
+        ((0.9999, 0.99995, 1.5, 1.0), 1),  # crossing at the tail
+    ],
+)
+def test_case4_euler_maclaurin_matches_direct_sum(monkeypatch, args, sign):
+    seen = []
+    em = risk_mod._euler_maclaurin
+
+    def spy(mu, *rest):
+        seen.append(mu)
+        return em(mu, *rest)
+
+    monkeypatch.setattr(risk_mod, "_euler_maclaurin", spy)
+    fast = case4_risk(*args)
+    assert len(seen) == 2 and all(math.copysign(1.0, mu) == sign for mu in seen)
+    monkeypatch.setattr(risk_mod, "_DIRECT_TERMS", 10**9)
+    assert abs(fast - case4_risk(*args)) < 1e-12
+    assert len(seen) == 2
+
+
+@pytest.mark.parametrize("z", [1.0, 0.3, 1e-9, 0.0, -0.7, -1.5, -12.0, -39.0, -41.0, -400.0])
+def test_kummer_matches_mpmath(z):
+    want = float(mpmath.hyp1f1(1, 1.5, z))
+    assert abs(risk_mod._kummer(z) - want) < 1e-14 * want
+
+
+@pytest.mark.parametrize("z", [0.0, 0.5, 3.0, 7.9, 8.0, 12.0, 1e3])
+def test_erfcx_matches_mpmath(z):
+    with mpmath.workdps(30):
+        want = float(mpmath.exp(mpmath.mpf(z) ** 2) * mpmath.erfc(z))
+    assert abs(risk_mod._erfcx(z) - want) < 5e-14 * want
 
 
 @given(
@@ -312,17 +362,38 @@ def test_case4_near_unit_s_tilde_is_fast_and_bracketed():
     assert elapsed < 2.0
 
 
-def test_case4_nearly_mixed_qubit_is_rejected_fast():
-    # r0 = 1e-9 puts s~ and s2 within ~1e-8 of 1: the series would need
-    # ~1e10 terms, so it is refused before the loop, naming s_t and s2
-    base = QubitScenario(1e-9, 2.0)
-    k = 1.2 * max(qubit_thresholds(base)[:2])
-    t0 = time.perf_counter()
-    with pytest.raises(ValueError, match="^s_t = .* and s2 = .* too close to 1"):
-        combined_risk(QubitScenario(1e-9, 2.0, k=k))
-    assert time.perf_counter() - t0 < 0.1
-    # well inside the budget the series still runs
-    assert 0.0 < case4_risk(0.99999, 0.99998, 1.5, 1.0) < 2.0
+def test_case4_nearly_mixed_qubit_finishes():
+    # s = (1 - r0)/(1 + r0) -> 1: n (1 - s) becomes an exponential variable
+    # and the total settles; r0 = 1e-9 needs ~1e10 terms, summed in O(1)
+    totals = []
+    for r0 in (1e-4, 1e-5, 1e-6, 1e-9):
+        base = QubitScenario(r0, 2.0)
+        k = 1.2 * max(qubit_thresholds(base)[:2])
+        t0 = time.perf_counter()
+        rep = combined_risk(QubitScenario(r0, 2.0, k=k))
+        assert time.perf_counter() - t0 < 0.1
+        assert rep.case == 4
+        totals.append(rep.total_risk)
+    assert [round(t, 6) for t in totals] == [0.768619, 0.768602, 0.7686, 0.7686]
+    gaps = [a - b for a, b in zip(totals, totals[1:])]
+    assert gaps[0] > gaps[1] > gaps[2] > 0.0
+    # the 4.2-million-term series, as the old term-by-term block loop summed it
+    assert abs(case4_risk(0.99999, 0.99998, 1.5, 1.0) - 0.54888197658012) < 1e-12
+
+
+def test_case4_every_input_is_fast_and_bracketed():
+    near_one = [0.0, 0.3, 0.97, 0.999, 1 - 1e-6, 1 - 1e-9, 1 - 2**-52]
+    for s_t, s2 in itertools.product(near_one, near_one):
+        if s_t == s2:
+            continue
+        q = geometric_l1(s_t, s2)[0]
+        for var1, var2 in ((1.5, 1.0), (0.01, 10.0), (1.0, 1.0 + 1e-9)):
+            c = gaussian_l1(var1, var2)
+            for tol in (1e-300, 1e-8):
+                t0 = time.perf_counter()
+                total = case4_risk(s_t, s2, var1, var2, tol)
+                assert time.perf_counter() - t0 < 0.1
+                assert max(q, c) - tol - 1e-13 <= total <= q + c + 1e-13
 
 
 def test_cli_import_leaves_out_integrate():

@@ -11,11 +11,13 @@ import dataclasses
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from gauss_purify.channels import ATTENUATE
 from gauss_purify.risk import QubitScenario, optimal_rate, quantum_threshold
-from gauss_purify.sweeps import FIGURE_TARGETS, SweepConfig, run_sweep, worker_count
+from gauss_purify.sweeps import FIGURE_TARGETS, SweepConfig, _grid, run_sweep, worker_count
 
 
 def _load(path):
@@ -177,7 +179,7 @@ def test_worker_count_names_a_bad_environment_value(monkeypatch):
 
 
 def test_runtime_error_row_becomes_counted_nan(tmp_path, monkeypatch):
-    # a non-converged risk (e.g. the case-4 term cap) must not abort the sweep
+    # a row that raises RuntimeError must not abort the sweep
     plan_fig2a = FIGURE_TARGETS["fig2a"]
 
     def failing_plan(cfg):
@@ -198,3 +200,20 @@ def test_runtime_error_row_becomes_counted_nan(tmp_path, monkeypatch):
     assert [r["k"] for r in rows] == ["0.2", "0.4", "0.6", "0.8", "1"]
     assert [r["risk"] == "nan" for r in rows] == [False, False, False, True, True]
     assert [r["s_tilde"] == "nan" for r in rows] == [False, False, False, True, True]
+
+
+@given(
+    start=st.floats(allow_nan=False, allow_infinity=False),
+    stop=st.floats(allow_nan=False, allow_infinity=False),
+    steps=st.integers(min_value=2, max_value=400),
+)
+@example(start=0.02, stop=0.98, steps=49)
+@example(start=0.0, stop=5e-324, steps=3)  # step rounds to 0: numpy's other branch
+@example(start=-1e308, stop=1e308, steps=5)  # stop - start overflows
+def test_grid_is_numpy_linspace_bit_for_bit(start, stop, steps):
+    if not stop > start:
+        return
+    got = _grid(SweepConfig("custom", "unused.csv", ranges={"k": (start, stop, steps)}), "k", None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.linspace(start, stop, steps)
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
