@@ -389,9 +389,9 @@ def case4_risk(
     weight becomes negligible, the terms sum to the weights' geometric
     tails.  Up to there, every part is closed form or O(1):
 
-    - The densities cross at |x| = x_n with x_n^2 = alpha + beta n, affine
-      in n.  Where x_n^2 <= 0 the term is |A_n - B_n|, a pair of
-      geometric sums split at the weight crossover m0 of geometric_l1.
+    - The densities cross at |x| = x_n, and x_n^2 is affine in n.  Where
+      x_n^2 <= 0 the term is |A_n - B_n|, a pair of geometric sums split
+      at the weight crossover m0 of geometric_l1.
     - The other indices form one run.  There the sign of the term is
       fixed, sigma = sign(var2 - var1), and the term is
       sigma [2 (A_n erf u1 - B_n erf u2) - A_n + B_n] with

@@ -88,10 +88,10 @@ def _grid(config: SweepConfig, name: str, default: tuple[float, float, int]) -> 
         raise ValueError(f"range {name!r} needs finite endpoints, got {start}:{stop}")
     if not stop > start:
         raise ValueError(f"range {name!r} needs stop > start")
-    div = steps - 1
-    step = (stop - start) / div
+    div, delta = steps - 1, stop - start
+    step = delta / div
     if step == 0.0:
-        points = [i / div * (stop - start) + start for i in range(div)]
+        points = [i / div * delta + start for i in range(div)]
     else:
         points = [i * step + start for i in range(div)]
     return points + [stop]
