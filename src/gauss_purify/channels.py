@@ -34,6 +34,7 @@ from .params import (
     check_thermal,
     normalize_kind,
 )
+from .risk import classical_threshold
 
 __all__ = [
     "ATTENUATE",
@@ -234,10 +235,8 @@ def classical_channel(
     Z ~ N(0, V2 - k^2 V1) reaches the target variance exactly; above it
     the optimal choice is Z = 0 and the variance stays k^2 Var(X).
     """
-    check_positive("V1", V1)
-    check_positive("V2", V2)
+    k0c = classical_threshold(V1, V2)
     check_positive("k", k)
-    k0c = math.sqrt(V2 / V1)
     if k <= k0c:
         return ClassicalGaussian(k * x.mean, k * k * x.variance + (V2 - k * k * V1))
     return ClassicalGaussian(k * x.mean, k * k * x.variance)

@@ -23,6 +23,7 @@ from . import __version__
 from .params import (
     AMPLIFY,
     ATTENUATE,
+    DEFAULT_SEED,
     SWEEP_TARGETS,
     channel_s_tilde,
     kind_for_k,
@@ -30,6 +31,7 @@ from .params import (
     ordered,
 )
 from .risk import (
+    CASE4_ABS_TOL,
     GaussianProblem,
     QubitScenario,
     classical_threshold,
@@ -57,30 +59,51 @@ def _emit(pairs, as_json: bool) -> None:
         _print_pairs(pairs)
 
 
+# the flags of `risk` and `thresholds` by the attribute each one sets
+_PROBLEM_FLAGS = {
+    "r0": "--r0", "lam": "--lambda", "s1": "--s1", "s2": "--s2", "v1": "--V1", "v2": "--V2",
+    "k": "--k", "rate": "--rate", "kind": "--kind", "abs_tol": "--abs-tol",
+}
+
+
+def _check_form(args, parser, form: str, needs: tuple, reads: tuple = ()) -> None:
+    """Exit 2 naming a flag the form needs but lacks, or one it does not read."""
+    for name in needs:
+        if getattr(args, name) is None:
+            parser.error(f"{form} requires {_PROBLEM_FLAGS[name]}")
+    for name, flag in _PROBLEM_FLAGS.items():
+        if name not in needs + reads and getattr(args, name, None) is not None:
+            parser.error(f"{form} reads no {flag}")
+
+
+def _check_pair(args, parser) -> bool:
+    """Whether --V1 and --V2 are given; exit 2 when only one of them is."""
+    if (args.v1 is None) != (args.v2 is None):
+        parser.error("--V1 and --V2 must be given together")
+    return args.v1 is not None
+
+
 def _cmd_risk(args, parser: argparse.ArgumentParser) -> int:
+    abs_tol = CASE4_ABS_TOL if args.abs_tol is None else args.abs_tol
     if args.qubit:
-        for name in ("r0", "lam"):
-            if getattr(args, name) is None:
-                parser.error(f"--qubit requires --{'lambda' if name == 'lam' else name}")
+        _check_form(args, parser, "--qubit", ("r0", "lam"), ("k", "rate", "abs_tol"))
         if args.k is None and args.rate is None:
             parser.error("--qubit requires --k or --rate")
         scenario = QubitScenario(args.r0, args.lam, k=args.k, rate=args.rate)
-        report = combined_risk(scenario, abs_tol=args.abs_tol)
+        report = combined_risk(scenario, abs_tol=abs_tol)
         _emit(report.as_dict().items(), args.json)
         return 0
 
-    for name in ("s1", "s2", "k"):
-        if getattr(args, name) is None:
-            parser.error(f"--gaussian requires --{name}")
-    if (args.v1 is None) != (args.v2 is None):
-        parser.error("--V1 and --V2 must be given together")
-    if args.v1 is not None:
+    needs = ("s1", "s2", "k")
+    if _check_pair(args, parser):
+        _check_form(args, parser, "--gaussian with --V1 and --V2", needs, ("v1", "v2", "abs_tol"))
         problem = GaussianProblem(args.s1, args.s2, args.v1, args.v2, args.k)
-        report = gaussian_risk(problem, abs_tol=args.abs_tol)
+        report = gaussian_risk(problem, abs_tol=abs_tol)
         _emit(report.as_dict().items(), args.json)
         return 0
 
     # photon-statistics only: quantum side of the problem
+    _check_form(args, parser, "--gaussian without --V1 and --V2", needs, ("kind",))
     kind = normalize_kind(args.kind) if args.kind is not None else kind_for_k(args.k)
     st = channel_s_tilde(kind, args.s1, args.k)
     reachable = ordered(kind, args.s1, args.s2)
@@ -96,24 +119,20 @@ def _cmd_risk(args, parser: argparse.ArgumentParser) -> int:
 
 def _cmd_thresholds(args, parser: argparse.ArgumentParser) -> int:
     if args.qubit:
-        for name in ("r0", "lam"):
-            if getattr(args, name) is None:
-                parser.error(f"--qubit requires --{'lambda' if name == 'lam' else name}")
+        _check_form(args, parser, "--qubit", ("r0", "lam"))
         kq, kc, lt = qubit_thresholds(QubitScenario(args.r0, args.lam))
         _emit(
             [("k0_quantum", kq), ("k0_classical", kc), ("lambda_tilde", lt)],
             args.json,
         )
         return 0
-    for name in ("s1", "s2"):
-        if getattr(args, name) is None:
-            parser.error(f"--gaussian requires --{name}")
+    _check_form(args, parser, "--gaussian", ("s1", "s2"), ("v1", "v2"))
     pairs = [
         (f"k0_{kind}", quantum_threshold(kind, args.s1, args.s2))
         for kind in (ATTENUATE, AMPLIFY)
         if ordered(kind, args.s1, args.s2)
     ]
-    if args.v1 is not None and args.v2 is not None:
+    if _check_pair(args, parser):
         pairs.append(("k0_classical", classical_threshold(args.v1, args.v2)))
     _emit(pairs, args.json)
     return 0
@@ -222,12 +241,7 @@ def _add_problem_flags(sub: argparse.ArgumentParser, with_k: bool) -> None:
         sub.add_argument(
             "--kind", choices=[ATTENUATE, AMPLIFY], help="channel family (gaussian form)"
         )
-        sub.add_argument(
-            "--abs-tol",
-            type=float,
-            default=1e-8,
-            help="truncation tolerance of the case-4 series",
-        )
+        sub.add_argument("--abs-tol", type=float, help="truncation tolerance of the case-4 series")
     sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
 
@@ -271,9 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = subs.add_parser("verify", help="run the self-check suite")
     verify.add_argument("--suite", choices=["fast", "full"], default="fast")
-    # oracles.DEFAULT_SEED, written out so building the parser does not
-    # load the oracle layer
-    verify.add_argument("--seed", type=int, default=42)
+    verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     verify.add_argument("--output", help="write the JSON report here instead of stdout")
 
     return parser

@@ -41,6 +41,7 @@ from .fock import (
 from .params import (
     AMPLIFY,
     ATTENUATE,
+    DEFAULT_SEED,
     channel_s_tilde,
     check_count,
     check_k,
@@ -68,8 +69,6 @@ __all__ = [
     "run_verification_suite",
     "SUITE_NAMES",
 ]
-
-DEFAULT_SEED = 42
 
 # ladder evolutions are accepted once the mass near the truncation edge
 # is below this (the wavefront has not reached the wall)
@@ -401,6 +400,11 @@ class _Report:
         return _jsonable({**asdict(self), "ok": self.ok})
 
 
+def _ordered(margin: float) -> bool:
+    """A CDF margin within rounding of the partial sums counts as ordered."""
+    return margin >= -1e-12
+
+
 @dataclass(frozen=True)
 class OrderingReport(_Report):
     """Partial-sum (stochastic-ordering) comparison of ancilla outputs."""
@@ -414,7 +418,7 @@ class OrderingReport(_Report):
 
     @property
     def ok(self) -> bool:
-        return self.worst_margin >= -1e-12
+        return _ordered(self.worst_margin)
 
 
 def check_stochastic_ordering(
@@ -427,8 +431,8 @@ def check_stochastic_ordering(
     from the ancilla; run_verification_suite checks that law against the
     two-mode unitary).  For every level and every photon count m the
     vacuum-output CDF must dominate: sum_{l<=m} p0_l >= sum_{l<=m}
-    pkappa_l.  Returns the worst margin and, if negative beyond 1e-12,
-    the (kappa, m) witness.
+    pkappa_l.  Returns the worst margin and, if it is negative beyond
+    rounding, the (kappa, m) witness.
     """
     kappa_max = check_count("kappa_max", kappa_max, least=1)
     cdf = np.cumsum(fock_ancilla_outputs(kind, k, s1, kappa_max), axis=0)
@@ -436,7 +440,7 @@ def check_stochastic_ordering(
     margins = (cdf[:, :1] - cdf).T
     kappa, m = np.unravel_index(int(np.argmin(margins)), margins.shape)
     worst = float(margins[kappa, m])
-    witness = None if worst >= -1e-12 else (int(kappa), int(m))
+    witness = None if _ordered(worst) else (int(kappa), int(m))
     return OrderingReport(normalize_kind(kind), float(k), float(s1), kappa_max, worst, witness)
 
 
@@ -477,7 +481,7 @@ def ancilla_optimality_search(
     mixture of the pure-level outputs, which come from one pass over the
     conserved sectors (one ladder decomposition each, shared by every
     level); the risk is the L1 distance to the thermal target.  The
-    report flags any candidate beating the vacuum by more than 1e-9.
+    report's `ok` fails when a candidate beats the vacuum beyond rounding.
     """
     kind = normalize_kind(kind)
     k = check_k(kind, k, closed=True)
@@ -728,7 +732,7 @@ def _abs_diff_quad(
 
 
 def case4_risk_quad(
-    s_t: float, s2: float, var1: float, var2: float, abs_tol: float = 1e-8
+    s_t: float, s2: float, var1: float, var2: float, abs_tol: float = risk_mod.CASE4_ABS_TOL
 ) -> float:
     """Joint product-law L1 distance by adaptive quadrature per photon number.
 
@@ -788,10 +792,8 @@ def _jsonable(value):
     return value
 
 
-def _report(name: str, ok: bool, **details) -> dict:
-    entry = {"name": name, "ok": bool(ok)}
-    entry.update(details)
-    return _jsonable(entry)
+def _report(ok: bool, **details) -> dict:
+    return _jsonable({"ok": bool(ok), **details})
 
 
 def _check_fock_metric(rng: np.random.Generator, fast: bool) -> dict:
@@ -822,7 +824,6 @@ def _check_fock_metric(rng: np.random.Generator, fast: bool) -> dict:
     unit_err = float(np.max(np.abs(gram[:block, :block] - np.eye(dim)[:block, :block])))
     ok = worst_sym <= 1e-12 and worst_tri <= 1e-12 and worst_self == 0.0 and elem_err <= 1e-12 and unit_err <= 1e-8
     return _report(
-        "fock_metric",
         ok,
         trials=trials,
         symmetry_err=worst_sym,
@@ -849,7 +850,7 @@ def _check_thermal_fixed_family(rng: np.random.Generator, fast: bool) -> dict:
                 got = kernel(k, src)
                 want = thermal_state(channel_s_tilde(kind, s1, k), got.cutoff)
                 worst = max(worst, float(np.max(np.abs(got.probs - want.probs))))
-    return _report("thermal_fixed_family", worst <= 1e-12, max_entry_err=worst)
+    return _report(worst <= 1e-12, max_entry_err=worst)
 
 
 def _check_threshold_state_exact(rng: np.random.Generator, fast: bool) -> dict:
@@ -867,10 +868,10 @@ def _check_threshold_state_exact(rng: np.random.Generator, fast: bool) -> dict:
         got = attenuate_kernel(k0, src) if kind == ATTENUATE else amplify_kernel(k0, src)
         want = thermal_state(s2, got.cutoff)
         worst = max(worst, float(np.max(np.abs(got.probs - want.probs))))
-    return _report("threshold_state_exact", worst <= 1e-12, max_entry_err=worst, pairs=len(pairs))
+    return _report(worst <= 1e-12, max_entry_err=worst, pairs=len(pairs))
 
 
-def _check_semigroup(rng: np.random.Generator, fast: bool) -> dict:
+def _check_attenuation_semigroup(rng: np.random.Generator, fast: bool) -> dict:
     cut = 40
     worst = 0.0
     trials = 3 if fast else 8
@@ -879,7 +880,7 @@ def _check_semigroup(rng: np.random.Generator, fast: bool) -> dict:
         prod = thinning_matrix(float(kb), cut) @ thinning_matrix(float(ka), cut)
         direct = thinning_matrix(float(ka * kb), cut)
         worst = max(worst, float(np.max(np.abs(prod - direct))))
-    return _report("attenuation_semigroup", worst <= 1e-10, max_entry_err=worst, trials=trials)
+    return _report(worst <= 1e-10, max_entry_err=worst, trials=trials)
 
 
 def _check_column_stochastic(rng: np.random.Generator, fast: bool) -> dict:
@@ -898,9 +899,7 @@ def _check_column_stochastic(rng: np.random.Generator, fast: bool) -> dict:
         sums = mat.sum(axis=0)
         worst_amp = max(worst_amp, float(np.max(np.abs(sums - 1.0))))
     ok = worst_att <= 1e-12 and worst_amp <= 1e-10 and neg >= 0.0
-    return _report(
-        "column_stochastic", ok, att_err=worst_att, amp_err=worst_amp, min_entry=neg
-    )
+    return _report(ok, att_err=worst_att, amp_err=worst_amp, min_entry=neg)
 
 
 def _check_kernel_vs_unitary(rng: np.random.Generator, fast: bool) -> dict:
@@ -921,8 +920,7 @@ def _check_kernel_vs_unitary(rng: np.random.Generator, fast: bool) -> dict:
                 kern = amplify_kernel(k, src, out_cutoff=cutoff).probs
             worst = max(worst, float(np.max(np.abs(kern - sim))))
     return _report(
-        "kernel_vs_unitary", worst <= 1e-8, max_entry_err=worst, cutoff=cutoff,
-        k_grid=ks, s1_grid=s_vals,
+        worst <= 1e-8, max_entry_err=worst, cutoff=cutoff, k_grid=ks, s1_grid=s_vals
     )
 
 
@@ -941,14 +939,14 @@ def _check_two_mode_unitarity(rng: np.random.Generator, fast: bool) -> dict:
         full = (na + nb <= cutoff) if kind == ATTENUATE else (np.diag(gram) > 1.0 - 1e-12)
         keep = np.flatnonzero(full)
         if not keep.size:
-            return _report("two_mode_unitarity", False, cutoff=cutoff, error="no complete columns")
+            return _report(False, cutoff=cutoff, error="no complete columns")
         sub = gram[np.ix_(keep, keep)] - np.eye(keep.size)
         err = float(np.max(np.abs(sub)))
         worst = max(worst, err)
         results[f"{kind}_unitarity_err"] = err
         results[f"{kind}_max_leak"] = leak
         results[f"{kind}_complete_columns"] = int(keep.size)
-    return _report("two_mode_unitarity", worst <= 1e-10, cutoff=cutoff, **results)
+    return _report(worst <= 1e-10, cutoff=cutoff, **results)
 
 
 def _check_diagonal_output(rng: np.random.Generator, fast: bool) -> dict:
@@ -976,29 +974,26 @@ def _check_diagonal_output(rng: np.random.Generator, fast: bool) -> dict:
         upto = cutoff if kind == ATTENUATE else cutoff - anc.max_level
         worst_gap = max(worst_gap, float(np.max(np.abs(diag[: upto + 1] - fast_path.probs[: upto + 1]))))
     ok = worst_offdiag <= 1e-10 and worst_gap <= 1e-10
-    return _report(
-        "diagonal_output", ok, offdiagonal_mass=worst_offdiag, fast_path_gap=worst_gap
-    )
+    return _report(ok, offdiagonal_mass=worst_offdiag, fast_path_gap=worst_gap)
 
 
 def _check_stochastic_ordering(rng: np.random.Generator, fast: bool) -> dict:
     n_grid = 6 if fast else 20
     s_vals = [0.5] if fast else [0.2, 0.5, 0.8]
-    worst = math.inf
-    witness = None
-    for s1 in s_vals:
-        for kind, k_lo, k_hi in ((ATTENUATE, 0.05, 0.95), (AMPLIFY, 1.05, 2.5)):
-            for k in np.linspace(k_lo, k_hi, n_grid):
-                rep = check_stochastic_ordering(kind, float(k), s1, 10)
-                if rep.worst_margin < worst:
-                    worst, witness = rep.worst_margin, (kind, float(k), s1, rep.witness)
+    reps = [
+        check_stochastic_ordering(kind, float(k), s1, 10)
+        for s1 in s_vals
+        for kind, k_lo, k_hi in ((ATTENUATE, 0.05, 0.95), (AMPLIFY, 1.05, 2.5))
+        for k in np.linspace(k_lo, k_hi, n_grid)
+    ]
+    worst = min(reps, key=lambda rep: rep.worst_margin)
     # convexity: mixtures inherit the ordering from the pure levels
-    mix_worst = math.inf
+    mix_margins = []
     for _ in range(5 if fast else 15):
         w = rng.dirichlet(np.ones(6))
         k = float(rng.uniform(0.2, 0.9))
         cdf = np.cumsum(fock_ancilla_outputs(ATTENUATE, k, 0.5, 5), axis=0)
-        mix_worst = min(mix_worst, float(np.min(cdf[:, 0] - cdf @ w)))
+        mix_margins.append(float(np.min(cdf[:, 0] - cdf @ w)))
     # the ordered law itself, against the two-mode unitary
     law_err = 0.0
     src = thermal_state(0.5, _thermal_cutoff(0.5, 1e-14))
@@ -1006,14 +1001,13 @@ def _check_stochastic_ordering(rng: np.random.Generator, fast: bool) -> dict:
         outs = fock_ancilla_outputs(kind, k, 0.5, 10)
         ref, _ = _channel_outputs(kind, k, src.probs[None], np.eye(11), outs.shape[0] - 1)
         law_err = max(law_err, float(np.max(np.abs(ref[0].T - outs))))
-    ok = worst >= -1e-12 and mix_worst >= -1e-12 and law_err <= 1e-12
+    ok = all(rep.ok for rep in reps) and all(map(_ordered, mix_margins)) and law_err <= 1e-12
     return _report(
-        "stochastic_ordering",
         ok,
-        worst_margin=worst,
-        mixture_worst_margin=mix_worst,
+        worst_margin=worst.worst_margin,
+        mixture_worst_margin=min(mix_margins),
         law_vs_unitary_err=law_err,
-        witness=None if ok else repr(witness),
+        witness=None if ok else repr((worst.kind, worst.k, worst.s1, worst.witness)),
         grid_points=n_grid,
     )
 
@@ -1030,16 +1024,17 @@ def _check_vacuum_optimality(rng: np.random.Generator, fast: bool) -> dict:
             (AMPLIFY, 2.3, 0.4, 0.8),
         ]
         samples = 10_000
-    worst = math.inf
-    details = []
-    for kind, k, s1, s2 in settings:
-        rep = ancilla_optimality_search(kind, k, s1, s2, max_level=6, samples=samples)
-        worst = min(worst, rep.margin)
-        details.append(
-            {"kind": kind, "k": k, "vacuum_risk": rep.vacuum_risk, "margin": rep.margin}
-        )
+    reps = [
+        ancilla_optimality_search(kind, k, s1, s2, max_level=6, samples=samples)
+        for kind, k, s1, s2 in settings
+    ]
     return _report(
-        "vacuum_optimality", worst >= -1e-9, worst_margin=worst, settings=details,
+        all(rep.ok for rep in reps),
+        worst_margin=min(rep.margin for rep in reps),
+        settings=[
+            {"kind": rep.kind, "k": rep.k, "vacuum_risk": rep.vacuum_risk, "margin": rep.margin}
+            for rep in reps
+        ],
         samples=samples,
     )
 
@@ -1053,7 +1048,6 @@ def _check_noise_topup(rng: np.random.Generator, fast: bool) -> dict:
     ]
     ok = all(r.ok for r in reps)
     return _report(
-        "noise_topup",
         ok,
         cases=[
             {
@@ -1069,14 +1063,13 @@ def _check_noise_topup(rng: np.random.Generator, fast: bool) -> dict:
     )
 
 
-def _check_covariance(rng: np.random.Generator, fast: bool) -> dict:
+def _check_displacement_covariance(rng: np.random.Generator, fast: bool) -> dict:
     alphas = [0.8] if fast else [1.0, 0.8 + 0.6j, -1.2]
     in_cut = 36 if fast else 48
     rep_att = verify_covariance(ATTENUATE, 0.5, alphas, s1=0.5, in_cutoff=in_cut)
     rep_amp = verify_covariance(AMPLIFY, math.sqrt(2.0), alphas, s1=0.5, in_cutoff=in_cut)
     ok = rep_att.ok and rep_amp.ok
     return _report(
-        "displacement_covariance",
         ok,
         att_trace_norm=rep_att.max_trace_norm,
         amp_trace_norm=rep_amp.max_trace_norm,
@@ -1103,9 +1096,7 @@ def _check_threshold_exactness(rng: np.random.Generator, fast: bool) -> dict:
             worst_s = max(worst_s, abs(channel_s_tilde(kind, s1, k0) - s2))
             worst_r = max(worst_r, risk_mod.quantum_minimax_risk(s1, s2, k0, kind))
     ok = worst_s <= 1e-12 and worst_r == 0.0
-    return _report(
-        "threshold_exactness", ok, pairs=count, worst_s_tilde_err=worst_s, worst_risk=worst_r
-    )
+    return _report(ok, pairs=count, worst_s_tilde_err=worst_s, worst_risk=worst_r)
 
 
 def _check_closed_vs_bruteforce(rng: np.random.Generator, fast: bool) -> dict:
@@ -1121,9 +1112,7 @@ def _check_closed_vs_bruteforce(rng: np.random.Generator, fast: bool) -> dict:
     tie, _ = risk_mod.geometric_l1(0.5, 0.4)
     worked_err = abs(tie - 0.2)
     ok = worst <= 1e-10 and worked_err <= 1e-12
-    return _report(
-        "closed_vs_bruteforce", ok, draws=count, worst_err=worst, worked_point_err=worked_err
-    )
+    return _report(ok, draws=count, worst_err=worst, worked_point_err=worked_err)
 
 
 def _check_quantum_monotonicity(rng: np.random.Generator, fast: bool) -> dict:
@@ -1136,9 +1125,7 @@ def _check_quantum_monotonicity(rng: np.random.Generator, fast: bool) -> dict:
         ra = risk_mod.quantum_minimax_risk(hi, lo, float(ka), ATTENUATE)
         rb = risk_mod.quantum_minimax_risk(hi, lo, float(kb), ATTENUATE)
         worst_drop = max(worst_drop, ra - rb)
-    return _report(
-        "quantum_monotonicity", worst_drop <= 1e-12, draws=count, worst_drop=worst_drop
-    )
+    return _report(worst_drop <= 1e-12, draws=count, worst_drop=worst_drop)
 
 
 def _check_classical_quadrature(rng: np.random.Generator, fast: bool) -> dict:
@@ -1157,16 +1144,16 @@ def _check_classical_quadrature(rng: np.random.Generator, fast: bool) -> dict:
         worst = max(worst, abs(closed - val))
     worked = abs(risk_mod.classical_minimax_risk(1.0, 1.0, math.sqrt(2.0)) - 0.33205)
     ok = worst <= 1e-8 and worked <= 1e-4
-    return _report(
-        "classical_quadrature", ok, draws=count, worst_err=worst, worked_point_err=worked
-    )
+    return _report(ok, draws=count, worst_err=worst, worked_point_err=worked)
 
 
 def _check_rate_consistency(rng: np.random.Generator, fast: bool) -> dict:
     n = 30 if fast else 100
     worst = 0.0
-    worked_a = abs(risk_mod.optimal_rate(risk_mod.QubitScenario(1.0 / 3.0, 2.4)) - 0.0217014)
-    worked_b = abs(risk_mod.optimal_rate(risk_mod.QubitScenario(0.8, 5.0 / 12.0)) - 10.24)
+    # fig 6a purifies and fig 6b dilutes
+    (_, r_a, lam_a, _), (_, r_b, lam_b, _), _ = risk_mod.FIG6_SCENARIOS
+    worked_a = abs(risk_mod.optimal_rate(risk_mod.QubitScenario(r_a, lam_a)) - 0.0217014)
+    worked_b = abs(risk_mod.optimal_rate(risk_mod.QubitScenario(r_b, lam_b)) - 10.24)
     for r in np.linspace(0.05, 0.9, n):
         lam_hi = min(2.5, 0.99 / r)
         for lam in np.linspace(0.1, lam_hi, n):
@@ -1178,7 +1165,6 @@ def _check_rate_consistency(rng: np.random.Generator, fast: bool) -> dict:
             worst = max(worst, abs(risk_mod.optimal_rate(sc) - governing**2 / lam**2))
     ok = worst <= 1e-12 and worked_a <= 1e-6 and worked_b <= 1e-6
     return _report(
-        "rate_consistency",
         ok,
         grid=n,
         worst_err=worst,
@@ -1209,16 +1195,7 @@ def _check_region_rules(rng: np.random.Generator, fast: bool) -> dict:
             checked += 1
             if not (kq < kc < 1.0):
                 violations += 1
-    return _report("region_rules", violations == 0, checked=checked, violations=violations)
-
-
-def _fig6_scenarios() -> list[tuple[str, float, float, float]]:
-    # (name, r0, lam, k_max)
-    return [
-        ("fig6a", 1.0 / 3.0, 2.4, 1.0),
-        ("fig6b", 0.8, 5.0 / 12.0, 2.2),
-        ("fig6c", 0.5, 0.25, 2.5),
-    ]
+    return _report(violations == 0, checked=checked, violations=violations)
 
 
 def _check_case_continuity(rng: np.random.Generator, fast: bool) -> dict:
@@ -1226,7 +1203,7 @@ def _check_case_continuity(rng: np.random.Generator, fast: bool) -> dict:
     worst_jump = 0.0
     worst_below = 0.0
     worst_drop = 0.0
-    for name, r0, lam, k_max in _fig6_scenarios():
+    for _, r0, lam, (_, k_max, _) in risk_mod.FIG6_SCENARIOS:
         base = risk_mod.QubitScenario(r0, lam)
         kq, kc, _ = risk_mod.qubit_thresholds(base)
         for boundary in (kq, kc):
@@ -1250,7 +1227,6 @@ def _check_case_continuity(rng: np.random.Generator, fast: bool) -> dict:
             prev = val
     ok = worst_jump <= 1e-4 and worst_below == 0.0 and worst_drop <= 1e-7
     return _report(
-        "case_continuity",
         ok,
         worst_boundary_jump=worst_jump,
         worst_below_threshold=worst_below,
@@ -1259,29 +1235,25 @@ def _check_case_continuity(rng: np.random.Generator, fast: bool) -> dict:
 
 
 def _check_case4_bounds(rng: np.random.Generator, fast: bool) -> dict:
-    points = [
-        (1.0 / 3.0, 2.4, 0.8),
-        (1.0 / 3.0, 2.4, 0.95),
-        (0.8, 5.0 / 12.0, 1.9),
-        (0.5, 0.25, 2.0),
-    ]
+    # case-4 points on the fig-6 curves
+    fig6a, fig6b, fig6c = risk_mod.FIG6_SCENARIOS
+    points = [(fig6a, 0.8), (fig6a, 0.95), (fig6b, 1.9), (fig6c, 2.0)]
     if fast:
         points = points[:2]
     worst_low = 0.0
     worst_high = 0.0
     worst_quad = 0.0
-    for r0, lam, k in points:
-        rep = risk_mod.combined_risk(risk_mod.QubitScenario(r0, lam, k=k))
+    for (_, r0, lam, _), k in points:
+        sc = risk_mod.QubitScenario(r0, lam, k=k)
+        rep = risk_mod.combined_risk(sc)
         lower = max(rep.classical_risk, rep.quantum_risk)
         upper = rep.classical_risk + rep.quantum_risk
         worst_low = max(worst_low, lower - rep.total_risk)
         worst_high = max(worst_high, rep.total_risk - upper)
-        sc = risk_mod.QubitScenario(r0, lam, k=k)
         quad_val = case4_risk_quad(rep.s_tilde, sc.s2, k * k * sc.V1, sc.V2)
         worst_quad = max(worst_quad, abs(quad_val - rep.total_risk))
     ok = worst_low <= 1e-8 and worst_high <= 1e-8 and worst_quad <= 1e-7
     return _report(
-        "case4_bounds",
         ok,
         points=len(points),
         worst_lower_violation=worst_low,
@@ -1294,7 +1266,7 @@ _SUITE_CHECKS = [
     _check_fock_metric,
     _check_thermal_fixed_family,
     _check_threshold_state_exact,
-    _check_semigroup,
+    _check_attenuation_semigroup,
     _check_column_stochastic,
     _check_kernel_vs_unitary,
     _check_two_mode_unitarity,
@@ -1302,7 +1274,7 @@ _SUITE_CHECKS = [
     _check_stochastic_ordering,
     _check_vacuum_optimality,
     _check_noise_topup,
-    _check_covariance,
+    _check_displacement_covariance,
     _check_threshold_exactness,
     _check_closed_vs_bruteforce,
     _check_quantum_monotonicity,
@@ -1313,6 +1285,8 @@ _SUITE_CHECKS = [
     _check_case4_bounds,
 ]
 
+# the report's check names; computed here, as the entries of _SUITE_CHECKS
+# may be replaced by wrappers (timing harnesses) at run time
 SUITE_NAMES = [fn.__name__.removeprefix("_check_") for fn in _SUITE_CHECKS]
 
 
@@ -1329,9 +1303,9 @@ def run_verification_suite(suite: str = "fast", seed: int = DEFAULT_SEED) -> dic
     seed = check_count("seed", seed)
     fast = suite == "fast"
     checks = []
-    for idx, fn in enumerate(_SUITE_CHECKS):
+    for idx, (name, fn) in enumerate(zip(SUITE_NAMES, _SUITE_CHECKS)):
         rng = np.random.default_rng([seed, idx])
-        checks.append(fn(rng, fast))
+        checks.append({"name": name, **fn(rng, fast)})
     return {
         "suite": suite,
         "seed": seed,

@@ -24,6 +24,7 @@ __all__ = [
     "check_count",
     "check_alpha",
     "SWEEP_TARGETS",
+    "DEFAULT_SEED",
 ]
 
 ATTENUATE = "att"
@@ -31,6 +32,10 @@ AMPLIFY = "amp"
 
 # the keys of sweeps.FIGURE_TARGETS, which `cli` offers without loading sweeps
 SWEEP_TARGETS = tuple("fig2a fig2b fig3a fig3b fig4 fig5 fig6a fig6b fig6c custom".split())
+
+# seed of `verify` and of the sampling oracles, here so that `cli` can
+# offer it without loading the oracle layer
+DEFAULT_SEED = 42
 
 
 def check_thermal(name: str, s: float) -> float:

@@ -38,6 +38,8 @@ from .params import (
 )
 
 __all__ = [
+    "CASE4_ABS_TOL",
+    "FIG6_SCENARIOS",
     "GaussianProblem",
     "QubitScenario",
     "RiskReport",
@@ -57,6 +59,17 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _NUM = "%.12g"
+
+# default truncation tolerance of the case-4 series
+CASE4_ABS_TOL = 1e-8
+
+# The fig-6 purification/dilution scenarios: (name, r0, lam, plotted k
+# range as (start, stop, steps)).
+FIG6_SCENARIOS = (
+    ("fig6a", 1.0 / 3.0, 2.4, (0.02, 1.0, 99)),
+    ("fig6b", 0.8, 5.0 / 12.0, (1.0, 2.2, 97)),
+    ("fig6c", 0.5, 0.25, (1.0, 2.5, 97)),
+)
 
 # Past the index where the lighter photon-number weight drops below
 # 2^-60 of the heavier one, each case-4 term equals A_n + B_n to within
@@ -136,10 +149,10 @@ def gaussian_l1(var_a: float, var_b: float) -> float:
     if var_a == var_b:
         return 0.0
     hi, lo = (var_a, var_b) if var_a > var_b else (var_b, var_a)
-    a, b = math.sqrt(hi), math.sqrt(lo)
-    # density crossover; the two CDF gaps on either side add up to the L1
-    x_star = math.sqrt(2.0 * hi * lo * math.log(a / b) / (hi - lo))
-    return 4.0 * (_phi(x_star / b) - _phi(x_star / a))
+    # squared CDF arguments at the density crossover, from lo / hi alone so
+    # that no scale over- or underflows; the gaps on either side add up to the L1
+    u2 = _log_ratio(hi, lo) / ((hi - lo) / hi)
+    return 4.0 * (_phi(math.sqrt(u2)) - _phi(math.sqrt(lo / hi * u2)))
 
 
 def quantum_threshold(kind: str, s1: float, s2: float) -> float:
@@ -377,7 +390,7 @@ def _erf_sum(s: float, lo: int, hi: int, a: float, b: float) -> float:
 
 
 def case4_risk(
-    s_t: float, s2: float, var1: float, var2: float, abs_tol: float = 1e-8
+    s_t: float, s2: float, var1: float, var2: float, abs_tol: float = CASE4_ABS_TOL
 ) -> float:
     """L1 distance between the joint laws when both thresholds are exceeded.
 
@@ -464,7 +477,8 @@ class QubitScenario:
     purifies, lam < 1 dilutes), and the transformation strength is given
     either as the per-copy rescaling k or as the copy-number rate
     (rate = k^2 / lam^2).  The output Bloch length lam * r0_norm must
-    stay physical (<= 1).
+    stay below 1: at 1 the output is pure (V2 = 0) and the local Gaussian
+    model degenerates.
     """
 
     r0_norm: float
@@ -475,8 +489,10 @@ class QubitScenario:
     def __post_init__(self):
         check_open_unit("r0_norm", self.r0_norm)
         check_positive("lam", self.lam)
-        if self.lam * self.r0_norm > 1.0:
-            raise ValueError("output Bloch length lam * r0_norm exceeds 1")
+        if self.lam * self.r0_norm >= 1.0:
+            raise ValueError(
+                f"output Bloch length lam * r0_norm must be below 1, got {self.lam * self.r0_norm}"
+            )
         if self.k is not None:
             check_positive("k", self.k)
         if self.rate is not None:
@@ -520,13 +536,6 @@ class QubitScenario:
         return min(1.0, (1.0 - self.r0_norm) / self.r0_norm)
 
 
-def _require_unsaturated(scenario: QubitScenario) -> None:
-    # lam * r0 = 1 makes the output pure (V2 = 0) and the Gaussian
-    # model degenerate; thresholds and risks are defined strictly inside
-    if scenario.lam * scenario.r0_norm >= 1.0:
-        raise ValueError("requires lam * r0_norm < 1")
-
-
 @dataclass(frozen=True)
 class GaussianProblem:
     """Phase-invariant Gaussian rescaling problem.
@@ -550,7 +559,6 @@ class GaussianProblem:
 
     @classmethod
     def from_qubit(cls, scenario: QubitScenario) -> "GaussianProblem":
-        _require_unsaturated(scenario)
         return cls(
             s1=scenario.s1,
             s2=scenario.s2,
@@ -594,15 +602,13 @@ class RiskReport:
 
 
 def _fmt(value) -> str:
-    """One output value as text: 12 significant digits for numbers,
-    `none` for None and `true`/`false` for bools (the CLI's spellings)."""
-    if hasattr(value, "dtype"):
-        value = value.item()  # a numpy scalar as the Python value it holds
-    if value is None or isinstance(value, bool):
-        return str(value).lower()
+    """One output value (str, int, float or None) as text: 12 significant
+    digits for floats and `none` for None (the CLI's spellings)."""
+    if value is None:
+        return "none"
     if isinstance(value, (str, int)):
         return str(value)
-    return _NUM % float(value)
+    return _NUM % value
 
 
 def _threshold_pair(s1: float, s2: float, V1: float, V2: float) -> tuple[float, float]:
@@ -610,7 +616,7 @@ def _threshold_pair(s1: float, s2: float, V1: float, V2: float) -> tuple[float, 
     return kq, classical_threshold(V1, V2)
 
 
-def gaussian_risk(problem: GaussianProblem, abs_tol: float = 1e-8) -> RiskReport:
+def gaussian_risk(problem: GaussianProblem, abs_tol: float = CASE4_ABS_TOL) -> RiskReport:
     """Classify k against both thresholds and evaluate the total risk.
 
     Boundary values of k belong to the lower regime (the risk is
@@ -636,7 +642,7 @@ def gaussian_risk(problem: GaussianProblem, abs_tol: float = 1e-8) -> RiskReport
     return RiskReport(4, kq, kc, st, m0, c_dist, q_dist, total)
 
 
-def combined_risk(scenario: QubitScenario, abs_tol: float = 1e-8) -> RiskReport:
+def combined_risk(scenario: QubitScenario, abs_tol: float = CASE4_ABS_TOL) -> RiskReport:
     """Total minimax risk of a qubit scenario at its rescaling k."""
     return gaussian_risk(GaussianProblem.from_qubit(scenario), abs_tol)
 
@@ -647,7 +653,6 @@ def qubit_thresholds(scenario: QubitScenario) -> tuple[float, float, float]:
     k0_classical = sqrt((1 - lam^2 r^2) / (1 - r^2)); lambda_tilde =
     min(1, (1 - r)/r) marks where the dilution threshold ordering flips.
     """
-    _require_unsaturated(scenario)
     kq, kc = _threshold_pair(scenario.s1, scenario.s2, scenario.V1, scenario.V2)
     return kq, kc, scenario.lambda_tilde
 
@@ -677,7 +682,6 @@ def optimal_rate(scenario: QubitScenario) -> float:
     otherwise, giving (r + 1/lam) / (lam^2 (r + 1)).  lam = 1 returns 1
     (both thresholds equal 1; the formulas share this limit).
     """
-    _require_unsaturated(scenario)
     r, lam = scenario.r0_norm, scenario.lam
     branch = rate_branch(scenario)
     if branch == "identity":

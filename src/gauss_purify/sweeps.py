@@ -17,11 +17,13 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 from . import __version__
 from .params import AMPLIFY, ATTENUATE, SWEEP_TARGETS, channel_s_tilde, check_count
 from .risk import (
+    FIG6_SCENARIOS,
     GaussianProblem,
     QubitScenario,
     classical_threshold,
@@ -238,9 +240,10 @@ FIGURE_TARGETS = {
     "fig3b": lambda cfg: _plan_fig3(cfg, AMPLIFY),
     "fig4": _plan_fig4,
     "fig5": _plan_fig5,
-    "fig6a": lambda cfg: _plan_fig6(cfg, 1.0 / 3.0, 2.4, (0.02, 1.0, 99)),
-    "fig6b": lambda cfg: _plan_fig6(cfg, 0.8, 5.0 / 12.0, (1.0, 2.2, 97)),
-    "fig6c": lambda cfg: _plan_fig6(cfg, 0.5, 0.25, (1.0, 2.5, 97)),
+    **{
+        name: partial(_plan_fig6, r0=r0, lam=lam, k_range=k_range)
+        for name, r0, lam, k_range in FIG6_SCENARIOS
+    },
     "custom": _plan_custom,
 }
 if tuple(FIGURE_TARGETS) != SWEEP_TARGETS:

@@ -13,6 +13,8 @@ import sys
 
 import pytest
 
+from gauss_purify.oracles import SUITE_NAMES
+
 CLI = [sys.executable, "-m", "gauss_purify.cli"]
 
 
@@ -162,6 +164,29 @@ def test_risk_rejects_bad_abs_tol_in_every_case(k, tol):
     assert "abs_tol must be finite and positive" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("thresholds", "--gaussian", "--s1", "0.8", "--s2", "0.4", "--V1", "1"),
+         "--V1 and --V2 must be given together"),
+        (("thresholds", "--qubit", "--r0", "0.5", "--lambda", "0.5", "--s2", "0.3"),
+         "--qubit reads no --s2"),
+        (("risk", "--qubit", "--r0", "0.5", "--lambda", "0.5", "--k", "1.2", "--s1", "0.3",
+          "--kind", "amp"), "--qubit reads no --s1"),
+        (("risk", "--gaussian", "--s1", "0.5", "--s2", "0.3", "--k", "1.5", "--rate", "3",
+          "--r0", "0.2"), "reads no --r0"),
+        (("risk", "--gaussian", "--s1", "0.5", "--s2", "0.3", "--k", "1.5", "--V1", "1",
+          "--V2", "1.5", "--kind", "amp"), "reads no --kind"),
+        (("risk", "--gaussian", "--s1", "0.5", "--s2", "0.3", "--k", "0.5", "--abs-tol", "1e-6"),
+         "reads no --abs-tol"),
+    ],
+)
+def test_flag_the_form_does_not_read_fails(args, message):
+    proc = run_cli(*args, check=False)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+
+
 def test_thresholds_gaussian_both_kinds():
     proc = run_cli(
         "thresholds", "--gaussian", "--s1", "0.5", "--s2", "0.5", "--V1", "1.0", "--V2", "2.0"
@@ -277,3 +302,4 @@ def test_verify_fast_runs_clean(tmp_path):
     assert rep["all_passed"] is True
     assert rep["suite"] == "fast"
     assert len(rep["checks"]) == 20
+    assert [check["name"] for check in rep["checks"]] == SUITE_NAMES

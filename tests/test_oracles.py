@@ -27,6 +27,8 @@ from gauss_purify.fock import number_state, thermal_state, vacuum_state
 from gauss_purify import oracles
 from gauss_purify.oracles import (
     AncillaCandidate,
+    OptimalityReport,
+    OrderingReport,
     SUITE_NAMES,
     ancilla_optimality_search,
     assemble_two_mode_unitary,
@@ -318,9 +320,33 @@ def test_suite_registry():
         assert name in SUITE_NAMES
 
 
+def test_report_names_come_from_the_registry(monkeypatch):
+    # a timing harness may swap every check for a wrapper named `call`
+    def call(rng, fast):
+        return _report(True)
+
+    monkeypatch.setattr(oracles, "_SUITE_CHECKS", [call] * len(SUITE_NAMES))
+    report = oracles.run_verification_suite("fast")
+    assert [check["name"] for check in report["checks"]] == SUITE_NAMES
+    assert {"attenuation_semigroup", "displacement_covariance"} <= set(SUITE_NAMES)
+
+
+def test_nan_margins_fail_the_ordering_and_optimality_checks(monkeypatch):
+    def nan_ordering(kind, k, s1, kappa_max):
+        return OrderingReport(kind, k, s1, kappa_max, math.nan, None)
+
+    def nan_search(kind, k, s1, s2, max_level, samples):
+        return OptimalityReport(kind, k, s1, s2, max_level, samples, 0.5, 0.5, (1.0,), math.nan)
+
+    monkeypatch.setattr(oracles, "check_stochastic_ordering", nan_ordering)
+    monkeypatch.setattr(oracles, "ancilla_optimality_search", nan_search)
+    rng = np.random.default_rng(0)
+    assert oracles._check_stochastic_ordering(rng, fast=True)["ok"] is False
+    assert oracles._check_vacuum_optimality(rng, fast=True)["ok"] is False
+
+
 def test_report_payloads_serialize():
     raw = _report(
-        "demo",
         True,
         scalar=np.float64(1.5),
         vector=np.arange(3),
@@ -328,7 +354,9 @@ def test_report_payloads_serialize():
         inf=math.inf,
     )
     text = json.dumps(raw, sort_keys=True)
-    assert "demo" in text
+    assert json.loads(text) == {
+        "ok": True, "scalar": 1.5, "vector": [0, 1, 2], "cplx": [1.0, 2.0], "inf": "inf"
+    }
     assert _jsonable(np.float64(2.0)) == 2.0
 
 
