@@ -31,7 +31,6 @@ from .params import (
     ordered,
 )
 from .risk import (
-    CASE4_ABS_TOL,
     GaussianProblem,
     QubitScenario,
     classical_threshold,
@@ -62,7 +61,7 @@ def _emit(pairs, as_json: bool) -> None:
 # the flags of `risk` and `thresholds` by the attribute each one sets
 _PROBLEM_FLAGS = {
     "r0": "--r0", "lam": "--lambda", "s1": "--s1", "s2": "--s2", "v1": "--V1", "v2": "--V2",
-    "k": "--k", "rate": "--rate", "kind": "--kind", "abs_tol": "--abs-tol",
+    "k": "--k", "rate": "--rate", "kind": "--kind",
 }
 
 
@@ -84,21 +83,20 @@ def _check_pair(args, parser) -> bool:
 
 
 def _cmd_risk(args, parser: argparse.ArgumentParser) -> int:
-    abs_tol = CASE4_ABS_TOL if args.abs_tol is None else args.abs_tol
     if args.qubit:
-        _check_form(args, parser, "--qubit", ("r0", "lam"), ("k", "rate", "abs_tol"))
+        _check_form(args, parser, "--qubit", ("r0", "lam"), ("k", "rate"))
         if args.k is None and args.rate is None:
             parser.error("--qubit requires --k or --rate")
         scenario = QubitScenario(args.r0, args.lam, k=args.k, rate=args.rate)
-        report = combined_risk(scenario, abs_tol=abs_tol)
+        report = combined_risk(scenario)
         _emit(report.as_dict().items(), args.json)
         return 0
 
     needs = ("s1", "s2", "k")
     if _check_pair(args, parser):
-        _check_form(args, parser, "--gaussian with --V1 and --V2", needs, ("v1", "v2", "abs_tol"))
+        _check_form(args, parser, "--gaussian with --V1 and --V2", needs, ("v1", "v2"))
         problem = GaussianProblem(args.s1, args.s2, args.v1, args.v2, args.k)
-        report = gaussian_risk(problem, abs_tol=abs_tol)
+        report = gaussian_risk(problem)
         _emit(report.as_dict().items(), args.json)
         return 0
 
@@ -187,9 +185,8 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
             parser.error(f"bad --range {name}={value!r}, expected START:STOP:STEPS")
         ranges[name] = parts
 
-    fixed = {k: float(v) for k, v in settings.get("fixed", {}).items()}
-    for name, value in _parse_assign(args.fix, "fix", parser).items():
-        fixed[name] = float(value)
+    fixed = dict(settings.get("fixed", {}))
+    fixed.update(_parse_assign(args.fix, "fix", parser))
 
     mode = args.mode or settings.get("mode", "qubit")
     threads = args.threads if args.threads is not None else settings.get("threads")
@@ -241,7 +238,6 @@ def _add_problem_flags(sub: argparse.ArgumentParser, with_k: bool) -> None:
         sub.add_argument(
             "--kind", choices=[ATTENUATE, AMPLIFY], help="channel family (gaussian form)"
         )
-        sub.add_argument("--abs-tol", type=float, help="truncation tolerance of the case-4 series")
     sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
 

@@ -732,15 +732,15 @@ def _abs_diff_quad(
 
 
 def case4_risk_quad(
-    s_t: float, s2: float, var1: float, var2: float, abs_tol: float = risk_mod.CASE4_ABS_TOL
+    s_t: float, s2: float, var1: float, var2: float, abs_tol: float = 1e-8
 ) -> float:
     """Joint product-law L1 distance by adaptive quadrature per photon number.
 
     Independent of risk.case4_risk's closed-form terms: each term
     |A_n N(0,var1) - B_n N(0,var2)| is integrated numerically, with an
     error request proportional to the term's mass (the requests sum to
-    less than abs_tol / 2).  The series stops by the same rule as
-    risk.case4_risk, once s_t^(n+1) + s2^(n+1) < abs_tol / 4.  Raises
+    less than abs_tol / 2).  The series stops once the geometric tails
+    s_t^(n+1) + s2^(n+1) fall below abs_tol / 4.  Raises
     RuntimeError if the summed error estimates and tail exceed abs_tol.
     """
     check_thermal("s_t", s_t)
@@ -1250,9 +1250,9 @@ def _check_case4_bounds(rng: np.random.Generator, fast: bool) -> dict:
         upper = rep.classical_risk + rep.quantum_risk
         worst_low = max(worst_low, lower - rep.total_risk)
         worst_high = max(worst_high, rep.total_risk - upper)
-        quad_val = case4_risk_quad(rep.s_tilde, sc.s2, k * k * sc.V1, sc.V2)
+        quad_val = case4_risk_quad(rep.s_tilde, sc.s2, k * k * sc.V1, sc.V2, abs_tol=1e-12)
         worst_quad = max(worst_quad, abs(quad_val - rep.total_risk))
-    ok = worst_low <= 1e-8 and worst_high <= 1e-8 and worst_quad <= 1e-7
+    ok = worst_low <= 1e-8 and worst_high <= 1e-8 and worst_quad <= 1e-10
     return _report(
         ok,
         points=len(points),

@@ -8,8 +8,8 @@ matching classical Gaussian shift problem.  Above threshold the minimax
 risk (worst-case L1 distance to the target) has closed forms.  When both
 thresholds are exceeded the two contributions couple into a product-law
 L1 distance: a series over photon numbers whose terms are normal-CDF
-differences at the density crossover, truncated once the geometric
-tails certify the remainder and summed in O(1) on `math` alone.
+differences at the density crossover, truncated below rounding and
+summed in O(1) on `math` alone.
 
 Qubit purification and dilution enter through a local Gaussian
 approximation of displaced spin ensembles: Bloch length r maps to
@@ -21,7 +21,6 @@ with zero risk then yields the optimal copy-number rate k0^2 / lam^2.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -38,7 +37,6 @@ from .params import (
 )
 
 __all__ = [
-    "CASE4_ABS_TOL",
     "FIG6_SCENARIOS",
     "GaussianProblem",
     "QubitScenario",
@@ -60,9 +58,6 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _NUM = "%.12g"
 
-# default truncation tolerance of the case-4 series
-CASE4_ABS_TOL = 1e-8
-
 # The fig-6 purification/dilution scenarios: (name, r0, lam, plotted k
 # range as (start, stop, steps)).
 FIG6_SCENARIOS = (
@@ -70,6 +65,10 @@ FIG6_SCENARIOS = (
     ("fig6b", 0.8, 5.0 / 12.0, (1.0, 2.2, 97)),
     ("fig6c", 0.5, 0.25, (1.0, 2.5, 97)),
 )
+
+# The case-4 series stops once the geometric tails that bound its dropped
+# terms are below this, far under the rounding of a risk of order 1.
+_CASE4_TAIL = 1e-18
 
 # Past the index where the lighter photon-number weight drops below
 # 2^-60 of the heavier one, each case-4 term equals A_n + B_n to within
@@ -104,9 +103,10 @@ def geometric_l1(sa: float, sb: float) -> tuple[float, int]:
 
     Returns (distance, m0) where m0 is the largest integer m with
     (1 - hi) hi^m <= (1 - lo) lo^m for hi = max(sa, sb), lo = min;
-    the distance is 2 (hi^(m0+1) - lo^(m0+1)).  At an exact weight tie
-    the tied index is kept inside m0; tied terms contribute zero, so
-    either convention yields the same distance.
+    the distance is 2 (hi^(m0+1) - lo^(m0+1)), taken through expm1 so
+    that it stays accurate in relative terms as lo approaches hi.  At an
+    exact weight tie the tied index is kept inside m0; tied terms
+    contribute zero, so either convention yields the same distance.
     """
     check_thermal("sa", sa)
     check_thermal("sb", sb)
@@ -114,7 +114,8 @@ def geometric_l1(sa: float, sb: float) -> tuple[float, int]:
         return 0.0, 0
     hi, lo = (sa, sb) if sa > sb else (sb, sa)
     m0 = _weight_crossover(hi, lo)
-    return 2.0 * (hi ** (m0 + 1) - lo ** (m0 + 1)), m0
+    # expm1(-inf) = -1 is exact at lo = 0
+    return 2.0 * hi ** (m0 + 1) * -math.expm1((m0 + 1) * _log_ratio(lo, hi)), m0
 
 
 def _log_ratio(x: float, y: float) -> float:
@@ -215,20 +216,14 @@ def classical_minimax_risk(V1: float, V2: float, k: float) -> float:
     return gaussian_l1(k * k * V1, V2)
 
 
-def _last_term(s_t: float, s2: float, tail_tol: float) -> int:
-    """First n with s_t^(n+1) + s2^(n+1) < tail_tol.
+def _last_term(s_t: float, s2: float) -> int:
+    """Last case-4 term: an n with s_t^(n+1) + s2^(n+1) < _CASE4_TAIL.
 
-    With hi = max(s_t, s2) the sum lies in [hi^(n+1), 2 hi^(n+1)], which
-    brackets n in closed form; bisecting the rule itself inside the
-    bracket gives the same n as a term-by-term scan.
+    With hi = max(s_t, s2) > 0 the sum is at most 2 hi^(n+1), which is
+    below half the cut once n + 1 passes log(_CASE4_TAIL / 4) / log(hi);
+    the other half absorbs rounding in the logs, about 1e-14 relative.
     """
-    log_hi = math.log(max(s_t, s2))
-    lo = max(0, math.floor(math.log(tail_tol) / log_hi) - 2)
-    hi = max(lo, math.ceil(math.log(0.5 * tail_tol) / log_hi) + 1)
-    below = bisect_left(
-        range(lo, hi + 1), True, key=lambda n: s_t ** (n + 1) + s2 ** (n + 1) < tail_tol
-    )
-    return lo + below
+    return math.floor(math.log(0.25 * _CASE4_TAIL) / math.log(max(s_t, s2)))
 
 
 def _erfcx(z: float) -> float:
@@ -389,18 +384,16 @@ def _erf_sum(s: float, lo: int, hi: int, a: float, b: float) -> float:
     return total + weight * value + _erf_terms(s, *skip, a, b)
 
 
-def case4_risk(
-    s_t: float, s2: float, var1: float, var2: float, abs_tol: float = CASE4_ABS_TOL
-) -> float:
+def case4_risk(s_t: float, s2: float, var1: float, var2: float) -> float:
     """L1 distance between the joint laws when both thresholds are exceeded.
 
     Computes integral dx sum_n |A_n g1(x) - B_n g2(x)| with weights
     A_n = (1-s_t) s_t^n, B_n = (1-s2) s2^n and g1 = N(0, var1),
-    g2 = N(0, var2) densities.  The series stops at the first n whose
-    summed geometric tails s_t^(n+1) + s2^(n+1) fall below abs_tol / 4,
-    which bounds the dropped remainder; past the index where the lighter
-    weight becomes negligible, the terms sum to the weights' geometric
-    tails.  Up to there, every part is closed form or O(1):
+    g2 = N(0, var2) densities.  The series stops once the summed
+    geometric tails s_t^(n+1) + s2^(n+1), which bound the dropped
+    remainder, fall below _CASE4_TAIL = 1e-18; past the index where the
+    lighter weight becomes negligible, the terms sum to the weights'
+    geometric tails.  Up to there, every part is closed form or O(1):
 
     - The densities cross at |x| = x_n, and x_n^2 is affine in n.  Where
       x_n^2 <= 0 the term is |A_n - B_n|, a pair of geometric sums split
@@ -411,14 +404,13 @@ def case4_risk(
       u_i = x_n / sqrt(2 var_i); the erf sums go through _erf_sum.
 
     The Euler-Maclaurin remainders are kept below 1e-15 each, so the
-    result agrees with a term-by-term sum to rounding.  Runs on math
+    result agrees with the full series to about 1e-15.  Runs on math
     alone, in O(1) time for any s_t, s2 < 1.
     """
     check_thermal("s_t", s_t)
     check_thermal("s2", s2)
     check_positive("var1", var1)
     check_positive("var2", var2)
-    check_positive("abs_tol", abs_tol)
     if var1 == var2:
         # common Gaussian factor integrates out term by term
         return geometric_l1(s_t, s2)[0]
@@ -426,7 +418,7 @@ def case4_risk(
         # common photon-number law factors out of the x integral
         return gaussian_l1(var1, var2)
 
-    last = _last_term(s_t, s2, 0.25 * abs_tol)
+    last = _last_term(s_t, s2)
     # lighter/heavier weight ratio is log-linear in n: offset + n * slope
     s_lo, s_hi = min(s_t, s2), max(s_t, s2)
     offset = _log_ratio(1.0 - s_lo, 1.0 - s_hi)
@@ -578,7 +570,7 @@ class RiskReport:
     case 3: only the classical threshold exceeded; total equals the
         Gaussian L1 distance.
     case 4: both exceeded; total is the product-law L1 distance, a
-        closed-form series truncated within abs_tol (case4_risk), while
+        closed-form series summed to rounding (case4_risk), while
         classical_risk / quantum_risk record the standalone marginal
         distances that bracket it.
 
@@ -616,14 +608,13 @@ def _threshold_pair(s1: float, s2: float, V1: float, V2: float) -> tuple[float, 
     return kq, classical_threshold(V1, V2)
 
 
-def gaussian_risk(problem: GaussianProblem, abs_tol: float = CASE4_ABS_TOL) -> RiskReport:
+def gaussian_risk(problem: GaussianProblem) -> RiskReport:
     """Classify k against both thresholds and evaluate the total risk.
 
     Boundary values of k belong to the lower regime (the risk is
     continuous across each threshold, and zero contributions stay
     exactly zero on the boundary itself).
     """
-    check_positive("abs_tol", abs_tol)
     s1, s2, V1, V2, k = problem.s1, problem.s2, problem.V1, problem.V2, problem.k
     kq, kc = _threshold_pair(s1, s2, V1, V2)
     lo, hi = min(kq, kc), max(kq, kc)
@@ -638,13 +629,13 @@ def gaussian_risk(problem: GaussianProblem, abs_tol: float = CASE4_ABS_TOL) -> R
         return RiskReport(3, kq, kc, st, None, dist, 0.0, dist)
     q_dist, m0 = geometric_l1(st, s2)
     c_dist = gaussian_l1(k * k * V1, V2)
-    total = case4_risk(st, s2, k * k * V1, V2, abs_tol)
+    total = case4_risk(st, s2, k * k * V1, V2)
     return RiskReport(4, kq, kc, st, m0, c_dist, q_dist, total)
 
 
-def combined_risk(scenario: QubitScenario, abs_tol: float = CASE4_ABS_TOL) -> RiskReport:
+def combined_risk(scenario: QubitScenario) -> RiskReport:
     """Total minimax risk of a qubit scenario at its rescaling k."""
-    return gaussian_risk(GaussianProblem.from_qubit(scenario), abs_tol)
+    return gaussian_risk(GaussianProblem.from_qubit(scenario))
 
 
 def qubit_thresholds(scenario: QubitScenario) -> tuple[float, float, float]:

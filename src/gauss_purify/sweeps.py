@@ -40,17 +40,23 @@ from .risk import (
 
 __all__ = ["SweepConfig", "FIGURE_TARGETS", "run_sweep", "worker_count"]
 
-def worker_count(explicit: Optional[int] = None) -> int:
-    """Thread-pool size: explicit arg, else GAUSS_PURIFY_THREADS, else cores."""
-    if explicit is not None:
-        return max(1, int(explicit))
-    env = os.environ.get("GAUSS_PURIFY_THREADS")
-    if env:
+def worker_count(explicit: int | str | None = None) -> int:
+    """Thread-pool size: explicit arg, else GAUSS_PURIFY_THREADS, else cores.
+
+    A given size, a number or its text, must be an integer >= 1;
+    ValueError names its source.
+    """
+    name, value = "threads", explicit
+    if value is None:
+        name, value = "GAUSS_PURIFY_THREADS", os.environ.get("GAUSS_PURIFY_THREADS")
+        if not value:
+            return min(8, os.cpu_count() or 1)
+    if isinstance(value, str):
         try:
-            return max(1, int(env))
+            value = int(value)
         except ValueError:
-            raise ValueError(f"GAUSS_PURIFY_THREADS must be an integer, got {env!r}") from None
-    return min(8, os.cpu_count() or 1)
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    return check_count(name, value, least=1)
 
 
 @dataclass(frozen=True)
@@ -102,7 +108,11 @@ def _grid(config: SweepConfig, name: str, default: tuple[float, float, int]) -> 
 def _fixed(config: SweepConfig, name: str, default: Optional[float]) -> float:
     config._read.add(("fixed", name))
     if name in config.fixed:
-        return float(config.fixed[name])
+        value = config.fixed[name]
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"fixed parameter {name!r} must be a number, got {value!r}") from None
     if default is None:
         raise ValueError(f"target {config.target!r} requires fixed parameter {name!r}")
     return default

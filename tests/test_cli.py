@@ -154,16 +154,6 @@ def test_risk_rejects_unphysical_scenario():
     assert "error" in proc.stderr.lower()
 
 
-@pytest.mark.parametrize("k", ["0.5", "1.2"])  # cases 1 and 3, no series to truncate
-@pytest.mark.parametrize("tol", ["nan", "0", "-1"])
-def test_risk_rejects_bad_abs_tol_in_every_case(k, tol):
-    proc = run_cli(
-        "risk", "--qubit", "--r0", "0.5", "--lambda", "0.5", "--k", k, "--abs-tol", tol, check=False
-    )
-    assert proc.returncode == 2
-    assert "abs_tol must be finite and positive" in proc.stderr
-
-
 @pytest.mark.parametrize(
     "args, message",
     [
@@ -177,8 +167,9 @@ def test_risk_rejects_bad_abs_tol_in_every_case(k, tol):
           "--r0", "0.2"), "reads no --r0"),
         (("risk", "--gaussian", "--s1", "0.5", "--s2", "0.3", "--k", "1.5", "--V1", "1",
           "--V2", "1.5", "--kind", "amp"), "reads no --kind"),
+        # the case-4 series has no tolerance to set
         (("risk", "--gaussian", "--s1", "0.5", "--s2", "0.3", "--k", "0.5", "--abs-tol", "1e-6"),
-         "reads no --abs-tol"),
+         "unrecognized arguments: --abs-tol"),
     ],
 )
 def test_flag_the_form_does_not_read_fails(args, message):
@@ -273,6 +264,23 @@ def test_sweep_unread_name_fails(tmp_path, args, name):
     proc = run_cli("sweep", *args, "--output", str(out), check=False)
     assert proc.returncode == 2
     assert f"reads no {name}" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("from_config", [False, True])
+def test_sweep_bad_fixed_value_is_named(tmp_path, from_config):
+    out = tmp_path / "x.csv"
+    if from_config:
+        cfg = tmp_path / "cfg.json"
+        settings = {"target": "custom", "output": str(out), "fixed": {"r0": "abc", "lam": 0.5}}
+        cfg.write_text(json.dumps(settings), encoding="utf-8")
+        args = ("--config", str(cfg))
+    else:
+        args = ("--target", "custom", "--fix", "r0=abc", "--fix", "lam=0.5", "--output", str(out))
+    proc = run_cli("sweep", *args, check=False)
+    assert proc.returncode == 2
+    assert "fixed parameter 'r0' must be a number, got 'abc'" in proc.stderr
+    assert "Traceback" not in proc.stderr
     assert not out.exists()
 
 

@@ -65,7 +65,7 @@ from gauss_purify.risk import (
     rate_branch,
 )
 import gauss_purify.risk as risk_mod
-from gauss_purify.risk import _fmt, _last_term
+from gauss_purify.risk import _CASE4_TAIL, _fmt, _last_term
 
 thermals = st.floats(min_value=0.0, max_value=0.95)
 
@@ -177,6 +177,20 @@ def test_geometric_l1_adjacent_floats_near_one():
     assert abs(m0 / (math.log(2) * 2**53) - 1) < 1e-9
 
 
+@pytest.mark.parametrize("base", [0.1, 0.5, 0.9, 0.99])
+@pytest.mark.parametrize("gap", [1e-3, 1e-6, 1e-9, 1e-12])
+def test_geometric_l1_near_threshold_is_relatively_accurate(base, gap):
+    # hi^(m+1) - lo^(m+1) cancels as lo -> hi; the crossover comes from mpmath too
+    hi, lo = base + gap, base
+    with mpmath.workdps(60):
+        h, l = mpmath.mpf(hi), mpmath.mpf(lo)
+        m0 = int(mpmath.floor(mpmath.log((1 - l) / (1 - h)) / mpmath.log(h / l)))
+        want = float(2 * (h ** (m0 + 1) - l ** (m0 + 1)))
+    value, m = geometric_l1(hi, lo)
+    assert m == m0
+    assert abs(value - want) < 1e-14 * want
+
+
 # --- quantum minimax risk ---
 
 
@@ -246,7 +260,7 @@ def test_gaussian_l1_depends_on_the_variance_ratio_alone(scale):
 def test_case4_matches_quadrature_bracket():
     st_val, s2 = 0.7, 0.3
     v1, v2 = 1.5, 0.9
-    total = case4_risk(st_val, s2, v1, v2, abs_tol=1e-9)
+    total = case4_risk(st_val, s2, v1, v2)
     q = geometric_l1(st_val, s2)[0]
     c = gaussian_l1(v1, v2)
     assert max(q, c) - 1e-8 <= total <= q + c + 1e-8
@@ -303,7 +317,7 @@ def _case4_mpmath(s_t, s2, var1, var2):
     ],
 )
 def test_case4_matches_mpmath_series(args):
-    assert abs(case4_risk(*args, abs_tol=1e-12) - _case4_mpmath(*args)) < 1e-12
+    assert abs(case4_risk(*args) - _case4_mpmath(*args)) < 1e-14
 
 
 @pytest.mark.parametrize(
@@ -343,19 +357,16 @@ def test_erfcx_matches_mpmath(z):
 
 
 @given(
-    sa=st.floats(min_value=0.0, max_value=0.99),
-    sb=st.floats(min_value=0.0, max_value=0.99),
-    log_tol=st.floats(min_value=-14.0, max_value=0.5),
+    sa=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    sb=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
 )
-@settings(max_examples=60)
-def test_case4_last_term_matches_scan(sa, sb, log_tol):
+@settings(max_examples=200)
+def test_case4_tails_past_the_last_term_are_below_the_cut(sa, sb):
     if sa == sb == 0.0:
         return
-    tol = 10.0**log_tol
-    n = 0
-    while sa ** (n + 1) + sb ** (n + 1) >= tol:
-        n += 1
-    assert _last_term(sa, sb, tol) == n
+    n = _last_term(sa, sb)
+    assert n >= 0
+    assert sa ** (n + 1) + sb ** (n + 1) < _CASE4_TAIL
 
 
 def test_case4_near_unit_s_tilde_is_fast_and_bracketed():
@@ -384,8 +395,8 @@ def test_case4_nearly_mixed_qubit_finishes():
     assert [round(t, 6) for t in totals] == [0.768619, 0.768602, 0.7686, 0.7686]
     gaps = [a - b for a, b in zip(totals, totals[1:])]
     assert gaps[0] > gaps[1] > gaps[2] > 0.0
-    # the 4.2-million-term series, as the old term-by-term block loop summed it
-    assert abs(case4_risk(0.99999, 0.99998, 1.5, 1.0) - 0.54888197658012) < 1e-12
+    # the 4.4-million-term series, summed term by term until its tails are below 1e-19
+    assert abs(case4_risk(0.99999, 0.99998, 1.5, 1.0) - 0.54888197908011) < 1e-12
 
 
 def test_case4_every_input_is_fast_and_bracketed():
@@ -396,11 +407,10 @@ def test_case4_every_input_is_fast_and_bracketed():
         q = geometric_l1(s_t, s2)[0]
         for var1, var2 in ((1.5, 1.0), (0.01, 10.0), (1.0, 1.0 + 1e-9)):
             c = gaussian_l1(var1, var2)
-            for tol in (1e-300, 1e-8):
-                t0 = time.perf_counter()
-                total = case4_risk(s_t, s2, var1, var2, tol)
-                assert time.perf_counter() - t0 < 0.1
-                assert max(q, c) - tol - 1e-13 <= total <= q + c + 1e-13
+            t0 = time.perf_counter()
+            total = case4_risk(s_t, s2, var1, var2)
+            assert time.perf_counter() - t0 < 0.1
+            assert max(q, c) - 1e-13 <= total <= q + c + 1e-13
 
 
 def test_cli_import_leaves_out_integrate():
@@ -512,24 +522,7 @@ _NONFINITE_CASES = [
     (gaussian_l1, dict(var_a=1.0, var_b=2.0), ["var_a", "var_b"]),
     (classical_threshold, dict(V1=1.0, V2=2.0), ["V1", "V2"]),
     (classical_minimax_risk, dict(V1=1.0, V2=2.0, k=3.0), ["V1", "V2", "k"]),
-    (
-        case4_risk,
-        dict(s_t=0.5, s2=0.3, var1=1.5, var2=1.0),
-        ["s_t", "s2", "var1", "var2", "abs_tol"],
-    ),
-    # abs_tol is checked in every case, not only where a case-4 series runs
-    (
-        gaussian_risk,
-        dict(problem=GaussianProblem.from_qubit(QubitScenario(0.5, 0.5, k=0.5)), abs_tol=1e-8),
-        ["abs_tol"],
-        (0, -1, *_NONFINITE),
-    ),
-    (
-        gaussian_risk,
-        dict(problem=GaussianProblem.from_qubit(QubitScenario(0.5, 0.5, k=1.2)), abs_tol=1e-8),
-        ["abs_tol"],
-        (0, -1, *_NONFINITE),
-    ),
+    (case4_risk, dict(s_t=0.5, s2=0.3, var1=1.5, var2=1.0), ["s_t", "s2", "var1", "var2"]),
     # k-regime bounds written as comparisons must not let NaN or inf through
     (thinning_matrix, dict(k=0.5, cutoff=5), ["k"]),
     (gain_matrix, dict(k=1.5, in_cutoff=3, out_cutoff=5), ["k"]),

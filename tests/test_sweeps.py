@@ -172,10 +172,18 @@ def test_worker_count_names_a_bad_environment_value(monkeypatch):
     monkeypatch.setenv("GAUSS_PURIFY_THREADS", "abc")
     with pytest.raises(ValueError, match="^GAUSS_PURIFY_THREADS must be an integer, got 'abc'$"):
         worker_count()
-    assert worker_count(2) == 2
-    for env, want in (("3", 3), ("0", 1), ("-2", 1)):
+    assert worker_count(2) == worker_count("2") == 2
+    with pytest.raises(ValueError, match="^threads must be an integer, got 'abc'$"):
+        worker_count("abc")
+    for explicit in (0, -3, "0"):
+        with pytest.raises(ValueError, match=f"^threads must be an integer >= 1, got {explicit}$"):
+            worker_count(explicit)
+    monkeypatch.setenv("GAUSS_PURIFY_THREADS", "3")
+    assert worker_count() == 3
+    for env in ("0", "-2"):
         monkeypatch.setenv("GAUSS_PURIFY_THREADS", env)
-        assert worker_count() == want
+        with pytest.raises(ValueError, match=f"^GAUSS_PURIFY_THREADS must be an integer >= 1, got {env}$"):
+            worker_count()
 
 
 def test_runtime_error_row_becomes_counted_nan(tmp_path, monkeypatch):
