@@ -24,7 +24,6 @@ from .params import (
     AMPLIFY,
     ATTENUATE,
     DEFAULT_SEED,
-    SWEEP_TARGETS,
     channel_s_tilde,
     kind_for_k,
     normalize_kind,
@@ -162,7 +161,7 @@ def _parse_assign(items, what: str, parser: argparse.ArgumentParser) -> dict:
 
 def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
     # sweeps load for this subcommand alone
-    from .sweeps import SweepConfig, run_sweep
+    from .sweeps import read_config, run_sweep
 
     settings = {}
     if args.config:
@@ -171,43 +170,26 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
         if not isinstance(settings, dict):
             parser.error("config file must hold a JSON object")
 
-    target = args.target or settings.get("target")
-    output = args.output or settings.get("output")
-    if not target:
-        parser.error("no sweep target (use --target or a config file)")
-    if not output:
-        parser.error("no output path (use --output or a config file)")
-
-    ranges = dict(settings.get("ranges", {}))
+    ranges = {}
     for name, value in _parse_assign(args.range, "range", parser).items():
         parts = value.split(":")
         if len(parts) != 3:
             parser.error(f"bad --range {name}={value!r}, expected START:STOP:STEPS")
         ranges[name] = parts
 
-    fixed = dict(settings.get("fixed", {}))
-    fixed.update(_parse_assign(args.fix, "fix", parser))
-
-    mode = args.mode or settings.get("mode", "qubit")
-    threads = args.threads if args.threads is not None else settings.get("threads")
-
-    config = SweepConfig(
-        target=target,
-        output=output,
-        ranges=ranges,
-        fixed=fixed,
-        mode=mode,
-        threads=threads,
+    config = read_config(
+        settings, target=args.target, output=args.output, ranges=ranges,
+        fixed=_parse_assign(args.fix, "fix", parser), mode=args.mode, threads=args.threads,
     )
-    try:
-        path = run_sweep(config)
-    except ValueError as exc:
-        parser.error(str(exc))
-    print(f"wrote {path}")
+    if not config.target:
+        parser.error("no sweep target (use --target or a config file)")
+    if not config.output:
+        parser.error("no output path (use --output or a config file)")
+    print(f"wrote {run_sweep(config)}")
     return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
     # only verify loads the oracle layer, and numpy and scipy with it; the
     # other subcommands run on the standard library
     from .oracles import run_verification_suite
@@ -261,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     rates.add_argument("--json", action="store_true")
 
     sweep = subs.add_parser("sweep", help="write a CSV parameter sweep")
-    sweep.add_argument("--target", choices=sorted(SWEEP_TARGETS), help="sweep target")
+    sweep.add_argument("--target", help="sweep target; an unknown name lists them")
     sweep.add_argument("--output", help="output CSV path")
     sweep.add_argument("--config", help="JSON config file (flags override it)")
     sweep.add_argument(
@@ -290,21 +272,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    command = {
+        "risk": _cmd_risk, "thresholds": _cmd_thresholds, "rates": _cmd_rates,
+        "sweep": _cmd_sweep, "verify": _cmd_verify,
+    }[args.command]
     try:
-        if args.command == "risk":
-            return _cmd_risk(args, parser)
-        if args.command == "thresholds":
-            return _cmd_thresholds(args, parser)
-        if args.command == "rates":
-            return _cmd_rates(args, parser)
-        if args.command == "sweep":
-            return _cmd_sweep(args, parser)
-        if args.command == "verify":
-            return _cmd_verify(args)
-    except ValueError as exc:
+        return command(args, parser)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

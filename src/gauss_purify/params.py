@@ -23,15 +23,11 @@ __all__ = [
     "check_open_unit",
     "check_count",
     "check_alpha",
-    "SWEEP_TARGETS",
     "DEFAULT_SEED",
 ]
 
 ATTENUATE = "att"
 AMPLIFY = "amp"
-
-# the keys of sweeps.FIGURE_TARGETS, which `cli` offers without loading sweeps
-SWEEP_TARGETS = tuple("fig2a fig2b fig3a fig3b fig4 fig5 fig6a fig6b fig6c custom".split())
 
 # seed of `verify` and of the sampling oracles, here so that `cli` can
 # offer it without loading the oracle layer
@@ -60,8 +56,12 @@ def check_nonnegative(name: str, x: float) -> None:
 
 
 def check_count(name: str, n, least: int = 0) -> int:
-    # NaN, inf and fractions all fail is_integer
-    if not (float(n).is_integer() and n >= least):
+    # NaN, inf and fractions fail is_integer, and non-numbers float or >=
+    try:
+        ok = float(n).is_integer() and n >= least
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
         raise ValueError(f"{name} must be an integer >= {least}, got {n}")
     return int(n)
 

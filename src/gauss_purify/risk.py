@@ -56,6 +56,16 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+# the 8-point Gauss-Legendre rule on [-1, 1], as (node, weight) for the
+# positive nodes; gaussian_l1 integrates the normal density with it over
+# widths below 0.5, where its error is below 1e-20
+_GAUSS_LEGENDRE = (
+    (0.1834346424956498, 0.362683783378362),
+    (0.525532409916329, 0.31370664587788727),
+    (0.7966664774136267, 0.22238103445337448),
+    (0.9602898564975363, 0.10122853629037626),
+)
 _NUM = "%.12g"
 
 # The fig-6 purification/dilution scenarios: (name, r0, lam, plotted k
@@ -144,7 +154,10 @@ def _weight_crossover(hi: float, lo: float) -> int:
 
 
 def gaussian_l1(var_a: float, var_b: float) -> float:
-    """L1 distance between centered normals N(0, var_a) and N(0, var_b)."""
+    """L1 distance between centered normals N(0, var_a) and N(0, var_b).
+
+    Accurate to about 1e-15 in relative terms, also as the variances meet.
+    """
     check_positive("var_a", var_a)
     check_positive("var_b", var_b)
     if var_a == var_b:
@@ -152,8 +165,20 @@ def gaussian_l1(var_a: float, var_b: float) -> float:
     hi, lo = (var_a, var_b) if var_a > var_b else (var_b, var_a)
     # squared CDF arguments at the density crossover, from lo / hi alone so
     # that no scale over- or underflows; the gaps on either side add up to the L1
-    u2 = _log_ratio(hi, lo) / ((hi - lo) / hi)
-    return 4.0 * (_phi(math.sqrt(u2)) - _phi(math.sqrt(lo / hi * u2)))
+    q = (hi - lo) / hi
+    u2 = _log_ratio(hi, lo) / q
+    b, a = math.sqrt(u2), math.sqrt(lo / hi * u2)
+    width = b * q / (1.0 + math.sqrt(lo / hi))  # b - a, without the cancellation
+    if width >= 0.5:
+        return 4.0 * (_phi(b) - _phi(a))
+    # near the threshold the CDF difference cancels, so integrate the
+    # density over [a, b] instead, with the Gauss-Legendre rule
+    mid, half = 0.5 * (a + b), 0.5 * width
+    total = sum(
+        w * (math.exp(-0.5 * (mid - half * x) ** 2) + math.exp(-0.5 * (mid + half * x) ** 2))
+        for x, w in _GAUSS_LEGENDRE
+    )
+    return 4.0 * half * total / _SQRT_2PI
 
 
 def quantum_threshold(kind: str, s1: float, s2: float) -> float:

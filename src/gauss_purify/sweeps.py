@@ -16,12 +16,12 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Callable, Optional
 
 from . import __version__
-from .params import AMPLIFY, ATTENUATE, SWEEP_TARGETS, channel_s_tilde, check_count
+from .params import AMPLIFY, ATTENUATE, channel_s_tilde, check_count
 from .risk import (
     FIG6_SCENARIOS,
     GaussianProblem,
@@ -38,7 +38,7 @@ from .risk import (
     _NUM,
 )
 
-__all__ = ["SweepConfig", "FIGURE_TARGETS", "run_sweep", "worker_count"]
+__all__ = ["SweepConfig", "FIGURE_TARGETS", "read_config", "run_sweep", "worker_count"]
 
 def worker_count(explicit: int | str | None = None) -> int:
     """Thread-pool size: explicit arg, else GAUSS_PURIFY_THREADS, else cores.
@@ -67,10 +67,33 @@ class SweepConfig:
     output: str
     ranges: dict = field(default_factory=dict)
     fixed: dict = field(default_factory=dict)
-    mode: str = "qubit"
+    mode: Optional[str] = None  # read by `custom` alone, as qubit when None
     threads: Optional[int] = None
-    # ("fixed" | "range", name) pairs the target's plan has read
+    # (what, name) pairs the target's plan has read, as run_sweep names them
     _read: set = field(default_factory=set, init=False, repr=False, compare=False)
+
+
+def read_config(settings: dict, **flags) -> SweepConfig:
+    """The SweepConfig of a config-file object, whose keys are SweepConfig's
+    fields, with flags laid over it: None flags are unset, and `ranges` and
+    `fixed` flags replace entries by name.  ValueError names an unknown key
+    or one of the wrong shape; a missing target or output comes back None.
+    """
+    keys = [f.name for f in fields(SweepConfig) if f.init]
+    for key, value in settings.items():
+        if key not in keys:
+            raise ValueError(f"unknown config key {key!r}; keys are {', '.join(keys)}")
+        shape = dict if key in ("ranges", "fixed") else str
+        if key == "threads":
+            worker_count(value)
+        elif not isinstance(value, shape):
+            what = "an object" if shape is dict else "a string"
+            raise ValueError(f"config key {key!r} must be {what}, got {value!r}")
+    merged = {"target": None, "output": None, **settings}
+    merged.update((key, value) for key, value in flags.items() if value is not None)
+    for key in ("ranges", "fixed"):
+        merged[key] = {**settings.get(key, {}), **flags.get(key, {})}
+    return SweepConfig(**merged)
 
 
 @dataclass(frozen=True)
@@ -85,7 +108,7 @@ def _grid(config: SweepConfig, name: str, default: tuple[float, float, int]) -> 
     """The range `name` as numpy.linspace(start, stop, steps) would give it,
     bit for bit: i * step + start, the last point stop, and numpy's
     (i / (steps - 1)) * delta + start where the step rounds to 0."""
-    config._read.add(("range", name))
+    config._read.add(("range parameter", name))
     spec = config.ranges.get(name, default)
     try:
         start, stop, steps = map(float, spec)
@@ -106,7 +129,7 @@ def _grid(config: SweepConfig, name: str, default: tuple[float, float, int]) -> 
 
 
 def _fixed(config: SweepConfig, name: str, default: Optional[float]) -> float:
-    config._read.add(("fixed", name))
+    config._read.add(("fixed parameter", name))
     if name in config.fixed:
         value = config.fixed[name]
         try:
@@ -221,13 +244,15 @@ def _plan_fig6(config: SweepConfig, r0: float, lam: float, k_range) -> _Plan:
 
 
 def _plan_custom(config: SweepConfig) -> _Plan:
-    if config.mode == "qubit":
+    config._read.add(("mode", config.mode))
+    mode = "qubit" if config.mode is None else config.mode
+    if mode == "qubit":
         r0 = _fixed(config, "r0", None)
         lam = _fixed(config, "lam", None)
         _, kc, _ = qubit_thresholds(QubitScenario(r0, lam))
         ks = _grid(config, "k", (0.02, max(2.0, kc * 1.5), 100))
         return _qubit_risk_plan([("mode", "qubit")], r0, lam, ks)
-    if config.mode == "gaussian":
+    if mode == "gaussian":
         s1 = _fixed(config, "s1", None)
         s2 = _fixed(config, "s2", None)
         V1 = _fixed(config, "V1", None)
@@ -240,7 +265,7 @@ def _plan_custom(config: SweepConfig) -> _Plan:
             ("k0_classical", repr(kc)),
         ]
         return _risk_plan(meta, ks, lambda k: gaussian_risk(GaussianProblem(s1, s2, V1, V2, k)))
-    raise ValueError(f"unknown custom mode {config.mode!r}")
+    raise ValueError(f"unknown custom mode {mode!r}")
 
 
 FIGURE_TARGETS = {
@@ -256,8 +281,6 @@ FIGURE_TARGETS = {
     },
     "custom": _plan_custom,
 }
-if tuple(FIGURE_TARGETS) != SWEEP_TARGETS:
-    raise ImportError("FIGURE_TARGETS and params.SWEEP_TARGETS must name the same targets")
 
 
 def run_sweep(config: SweepConfig) -> str:
@@ -266,16 +289,21 @@ def run_sweep(config: SweepConfig) -> str:
     Rows whose evaluation raises ValueError (a point outside the domain,
     such as a fig3 threshold across its ordering) or RuntimeError are
     emitted as nan and counted in the `# warnings:` metadata line rather
-    than aborting the sweep.  A fixed or range name the target never reads raises
-    ValueError before anything is written.
+    than aborting the sweep.  An unknown target, or a fixed name, range
+    name or mode the target never reads, raises ValueError before anything
+    is written.
     """
     if config.target not in FIGURE_TARGETS:
-        raise ValueError(f"unknown sweep target {config.target!r}")
+        raise ValueError(
+            f"unknown sweep target {config.target!r}; targets are {', '.join(FIGURE_TARGETS)}"
+        )
     plan = FIGURE_TARGETS[config.target](config)
-    for what, given in (("fixed", config.fixed), ("range", config.ranges)):
-        unread = [name for name in given if (what, name) not in config._read]
-        if unread:
-            raise ValueError(f"target {config.target!r} reads no {what} parameter {unread[0]!r}")
+    given = [("fixed parameter", name) for name in config.fixed]
+    given += [("range parameter", name) for name in config.ranges]
+    given += [("mode", config.mode)] if config.mode is not None else []
+    unread = [item for item in given if item not in config._read]
+    if unread:
+        raise ValueError("target {!r} reads no {} {!r}".format(config.target, *unread[0]))
 
     def safe_row(point) -> list:
         try:
@@ -288,16 +316,10 @@ def run_sweep(config: SweepConfig) -> str:
     with ThreadPoolExecutor(max_workers=worker_count(config.threads)) as pool:
         rows = list(pool.map(safe_row, plan.points))
 
-    warnings = sum(
-        1 for r in rows if any(isinstance(v, float) and math.isnan(v) for v in r)
-    )
+    warnings = sum(any(isinstance(v, float) and math.isnan(v) for v in r) for r in rows)
+    meta = [("tool", f"gauss-purify {__version__}"), ("target", config.target), *plan.meta]
     with open(config.output, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# tool: gauss-purify {__version__}\n")
-        fh.write(f"# target: {config.target}\n")
-        for key, val in plan.meta:
-            fh.write(f"# {key}: {val}\n")
-        fh.write(f"# warnings: {warnings}\n")
+        fh.writelines(f"# {key}: {val}\n" for key, val in meta + [("warnings", warnings)])
         fh.write(",".join(plan.header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(",".join(_fmt(v) for v in row) + "\n" for row in rows)
     return config.output

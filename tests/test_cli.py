@@ -14,6 +14,7 @@ import sys
 import pytest
 
 from gauss_purify.oracles import SUITE_NAMES
+from gauss_purify.sweeps import FIGURE_TARGETS
 
 CLI = [sys.executable, "-m", "gauss_purify.cli"]
 
@@ -231,8 +232,9 @@ def test_sweep_config_file_with_flag_override(tmp_path):
         encoding="utf-8",
     )
     out = tmp_path / "real.csv"
-    run_cli("sweep", "--config", str(cfg), "--output", str(out))
-    assert out.exists()
+    # a --fix replaces its own name and keeps the file's others
+    run_cli("sweep", "--config", str(cfg), "--output", str(out), "--fix", "lam=0.4")
+    assert "# fixed: r0=0.5,lam=0.4\n" in out.read_text(encoding="utf-8")
     assert not (tmp_path / "ignored.csv").exists()
 
 
@@ -252,11 +254,38 @@ def test_sweep_config_range_of_wrong_shape_is_named(tmp_path, k_range):
 
 
 @pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"threads": [2]}, "threads must be an integer >= 1, got [2]"),
+        ({"threads": 0}, "threads must be an integer >= 1, got 0"),
+        ({"ranges": ["k"]}, "config key 'ranges' must be an object, got ['k']"),
+        ({"fixed": ["r0"]}, "config key 'fixed' must be an object, got ['r0']"),
+        ({"output": 7}, "config key 'output' must be a string, got 7"),
+        ({"target": ["fig2a"]}, "config key 'target' must be a string, got ['fig2a']"),
+        ({"mode": 1}, "config key 'mode' must be a string, got 1"),
+        ({"thread": 2}, "unknown config key 'thread'"),
+        ({"rangse": {"k": [0.1, 1.0, 3]}}, "unknown config key 'rangse'"),
+    ],
+)
+def test_sweep_config_of_wrong_shape_is_named(tmp_path, extra, message):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out.csv"
+    cfg.write_text(json.dumps({"target": "fig2a", "output": str(out), **extra}), encoding="utf-8")
+    proc = run_cli("sweep", "--config", str(cfg), check=False)
+    assert proc.returncode == 2
+    assert f"error: {message}" in proc.stderr.splitlines()[-1]
+    assert "Traceback" not in proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize(
     "args, name",
     [
         (("--target", "custom", "--mode", "qubit", "--fix", "r0=0.5", "--fix", "lam=0.5",
           "--fix", "bogus=1", "--range", "k=0.1:1:3"), "fixed parameter 'bogus'"),
         (("--target", "fig4", "--range", "bogus=0.1:1:3"), "range parameter 'bogus'"),
+        # only custom reads a mode
+        (("--target", "fig4", "--mode", "gaussian"), "mode 'gaussian'"),
     ],
 )
 def test_sweep_unread_name_fails(tmp_path, args, name):
@@ -284,9 +313,35 @@ def test_sweep_bad_fixed_value_is_named(tmp_path, from_config):
     assert not out.exists()
 
 
-def test_sweep_unknown_target_fails():
-    proc = run_cli("sweep", "--target", "fig9", "--output", "/tmp/x.csv", check=False)
+def test_sweep_unknown_target_fails(tmp_path):
+    out = tmp_path / "x.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"target": "fig9", "output": str(out)}), encoding="utf-8")
+    targets = ", ".join(FIGURE_TARGETS)
+    for args in (("--target", "fig9", "--output", str(out)), ("--config", str(cfg))):
+        proc = run_cli("sweep", *args, check=False)
+        assert proc.returncode == 2
+        assert f"error: unknown sweep target 'fig9'; targets are {targets}" in proc.stderr
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("sweep", "--config", "{missing}/cfg.json"),
+        ("sweep", "--target", "fig4", "--output", "{missing}/fig4.csv"),
+        ("verify", "--output", "{missing}/verify.json"),
+    ],
+)
+def test_missing_file_or_directory_is_named(tmp_path, args):
+    missing = tmp_path / "missing"
+    args = [arg.format(missing=missing) for arg in args]
+    proc = run_cli(*args, check=False)
     assert proc.returncode == 2
+    assert proc.stderr.startswith("error: [Errno 2] No such file or directory: ")
+    assert str(missing) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not missing.exists()
 
 
 def test_sweep_nan_rows_counted(tmp_path):

@@ -254,6 +254,19 @@ def test_gaussian_l1_depends_on_the_variance_ratio_alone(scale):
     assert abs(gaussian_l1(scale, 2.0 * scale) - 0.3321281499670259) < 1e-15
 
 
+@pytest.mark.parametrize("base", [1e-3, 1.0, 7.5e4])
+@pytest.mark.parametrize("gap", [10.0, 1.0, 0.5, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+def test_gaussian_l1_near_threshold_is_relatively_accurate(base, gap):
+    # Phi(b) - Phi(a) cancels as the variances meet
+    hi, lo = base * (1 + gap), base
+    with mpmath.workdps(60):
+        h, l = mpmath.mpf(hi), mpmath.mpf(lo)
+        u2 = mpmath.log(h / l) / ((h - l) / h)
+        want = float(4 * (mpmath.ncdf(mpmath.sqrt(u2)) - mpmath.ncdf(mpmath.sqrt(l / h * u2))))
+    assert abs(gaussian_l1(hi, lo) - want) < 1e-12 * want
+    assert abs(gaussian_l1(lo, hi) - want) < 1e-12 * want
+
+
 # --- mixed-regime integral ---
 
 

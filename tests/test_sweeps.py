@@ -150,6 +150,8 @@ def test_misshapen_range_rejected_naming_it(tmp_path, k_range):
         ("fig2a", dict(fixed={"k": 0.5}), "reads no fixed parameter 'k'"),
         # fig6a reads r0 and lam; s1 belongs to other targets
         ("fig6a", dict(fixed={"s1": 0.5}), "reads no fixed parameter 's1'"),
+        # only custom reads a mode
+        ("fig2a", dict(mode="gaussian"), "reads no mode 'gaussian'"),
     ],
 )
 def test_unread_sweep_names_rejected(tmp_path, target, extra, message):
