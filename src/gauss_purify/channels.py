@@ -51,10 +51,6 @@ __all__ = [
     "classical_channel",
 ]
 
-# Kernels are applied in column chunks of this many input levels, keeping
-# memory bounded at large cutoffs.
-_STREAM_CHUNK = 256
-
 # Largest omitted mass an auto-sized amplifier output cutoff may add.
 _TAIL_TARGET = 1e-14
 
@@ -107,27 +103,13 @@ def gain_matrix(k: float, in_cutoff: int, out_cutoff: int) -> np.ndarray:
     return _binomial(np.arange(out_cutoff + 1)[:, None], np.arange(in_cutoff + 1), 1.0 / G) / G
 
 
-def _stream_apply(law, probs: np.ndarray, out_cutoff: int) -> np.ndarray:
-    """Accumulate law(m, n) @ probs[n] over m = 0..out_cutoff in column
-    chunks of n to bound memory."""
-    m = np.arange(out_cutoff + 1)[:, None]
-    out = np.zeros(out_cutoff + 1)
-    for start in range(0, probs.size, _STREAM_CHUNK):
-        n = np.arange(start, min(start + _STREAM_CHUNK, probs.size))
-        out += law(m, n) @ probs[n]
-    return out
-
-
 def attenuate_kernel(k: float, state: DiagonalFockState) -> DiagonalFockState:
     """Apply the vacuum-ancilla beamsplitter channel to a diagonal state.
 
     The output cutoff equals the input cutoff (loss never raises the
     photon number); the input's omitted mass carries over unchanged.
     """
-    k = check_k(ATTENUATE, k)
-    eta = k * k
-    out = _stream_apply(lambda m, n: _binomial(n, m, eta), state.probs, state.cutoff)
-    return DiagonalFockState(out, state.cutoff, state.tail_bound)
+    return DiagonalFockState(thinning_matrix(k, state.cutoff) @ state.probs, state.tail_bound)
 
 
 def _auto_out_cutoff(G: float, in_cutoff: int) -> int:
@@ -154,13 +136,10 @@ def amplify_kernel(
     mass is then whatever the truncation measures).
     """
     k = check_k(AMPLIFY, k)
-    G = k * k
     fixed_cutoff = out_cutoff is not None
-    if fixed_cutoff:
-        out_cutoff = check_count("out_cutoff", out_cutoff)
-    else:
-        out_cutoff = _auto_out_cutoff(G, state.cutoff)
-    out = _stream_apply(lambda m, n: _binomial(m, n, 1.0 / G) / G, state.probs, out_cutoff)
+    if not fixed_cutoff:
+        out_cutoff = _auto_out_cutoff(k * k, state.cutoff)
+    out = gain_matrix(k, state.cutoff, out_cutoff) @ state.probs
     # Exact arithmetic would give sum(out) = norm(input); the deficit is
     # the measured kernel truncation.
     kernel_loss = max(state.norm - float(out.sum()), 0.0)
@@ -168,7 +147,7 @@ def amplify_kernel(
         raise RuntimeError(
             f"amplifier cutoff enlargement insufficient: residual {kernel_loss:.3e}"
         )
-    return DiagonalFockState(out, out_cutoff, state.tail_bound + kernel_loss)
+    return DiagonalFockState(out, state.tail_bound + kernel_loss)
 
 
 def fock_ancilla_outputs(kind: str, k: float, s1: float, max_level: int) -> np.ndarray:

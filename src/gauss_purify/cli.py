@@ -15,6 +15,7 @@ when any check fails, so it can gate CI.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import Optional
@@ -166,9 +167,16 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
     settings = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            settings = json.load(fh)
+            try:
+                settings = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"config file {args.config!r} is not valid JSON: {exc}") from None
         if not isinstance(settings, dict):
             parser.error("config file must hold a JSON object")
+    if args.target is None and "target" not in settings:
+        parser.error("no sweep target (use --target or a config file)")
+    if args.output is None and "output" not in settings:
+        parser.error("no output path (use --output or a config file)")
 
     ranges = {}
     for name, value in _parse_assign(args.range, "range", parser).items():
@@ -181,10 +189,6 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
         settings, target=args.target, output=args.output, ranges=ranges,
         fixed=_parse_assign(args.fix, "fix", parser), mode=args.mode, threads=args.threads,
     )
-    if not config.target:
-        parser.error("no sweep target (use --target or a config file)")
-    if not config.output:
-        parser.error("no output path (use --output or a config file)")
     print(f"wrote {run_sweep(config)}")
     return 0
 
@@ -194,13 +198,14 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
     # other subcommands run on the standard library
     from .oracles import run_verification_suite
 
-    report = run_verification_suite(suite=args.suite, seed=args.seed)
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    # opened before the suite, so an unwritable path fails before the checks
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        out = open(args.output, "w", encoding="utf-8", newline="")
     else:
-        sys.stdout.write(text)
+        out = contextlib.nullcontext(sys.stdout)
+    with out as fh:
+        report = run_verification_suite(suite=args.suite, seed=args.seed)
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0 if report["all_passed"] else 1
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "thermal_state",
     "vacuum_state",
     "number_state",
-    "from_probs",
     "l1_distance",
     "mean_photon",
     "displacement_matrix_element",
@@ -42,15 +41,13 @@ _NORM_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class DiagonalFockState:
-    """Photon-number distribution truncated at ``cutoff``.
+    """Photon-number distribution on n = 0 .. cutoff, with cutoff = probs.size - 1.
 
     Attributes
     ----------
     probs : numpy.ndarray
         Occupation probabilities for n = 0 .. cutoff.  All entries are
         nonnegative and sum to at most 1 (within rounding).
-    cutoff : int
-        Largest retained photon number N.
     tail_bound : float
         Certified upper bound on the probability mass not represented in
         ``probs``.  For a thermal state with parameter s this equals
@@ -58,16 +55,12 @@ class DiagonalFockState:
     """
 
     probs: np.ndarray
-    cutoff: int
-    tail_bound: float
+    tail_bound: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "cutoff", check_count("cutoff", self.cutoff))
         probs = np.asarray(self.probs, dtype=float)
-        if probs.ndim != 1 or probs.size != self.cutoff + 1:
-            raise ValueError(
-                f"probs must have length cutoff+1 = {self.cutoff + 1}, got {probs.shape}"
-            )
+        if probs.ndim != 1 or probs.size == 0:
+            raise ValueError(f"probs must be a nonempty vector, got shape {probs.shape}")
         bad = np.flatnonzero(~np.isfinite(probs))
         if bad.size:
             raise ValueError(f"probs must be finite, got {probs[bad[0]]} at n = {bad[0]}")
@@ -85,6 +78,11 @@ class DiagonalFockState:
                 f"sum(probs) + tail_bound = {total + self.tail_bound} < 1; "
                 "tail bound is not a certified remainder"
             )
+
+    @property
+    def cutoff(self) -> int:
+        """Largest retained photon number N."""
+        return self.probs.size - 1
 
     @property
     def norm(self) -> float:
@@ -145,7 +143,7 @@ def thermal_state(s: float, cutoff: int) -> DiagonalFockState:
     cutoff = check_count("cutoff", cutoff)
     # at s = 0, 0.0 ** 0 == 1 gives the vacuum with a zero tail
     probs = (1.0 - s) * s ** np.arange(cutoff + 1)
-    return DiagonalFockState(probs, cutoff, s ** (cutoff + 1))
+    return DiagonalFockState(probs, s ** (cutoff + 1))
 
 
 def vacuum_state(cutoff: int = 0) -> DiagonalFockState:
@@ -161,13 +159,7 @@ def number_state(n: int, cutoff: int | None = None) -> DiagonalFockState:
         raise ValueError("cutoff must retain the occupied level")
     probs = np.zeros(cutoff + 1)
     probs[n] = 1.0
-    return DiagonalFockState(probs, cutoff, 0.0)
-
-
-def from_probs(probs, tail_bound: float = 0.0) -> DiagonalFockState:
-    """Wrap a raw probability vector, validating the state invariants."""
-    probs = np.asarray(probs, dtype=float)
-    return DiagonalFockState(probs, probs.size - 1, float(tail_bound))
+    return DiagonalFockState(probs)
 
 
 def mean_photon(state: DiagonalFockState) -> float:

@@ -86,41 +86,12 @@ def _thermal_cutoff(s: float, tail: float) -> int:
     return max(0, math.ceil(math.log(tail) / math.log(s)) - 1)
 
 
-@dataclass(frozen=True)
-class AncillaCandidate:
-    """Phase-invariant ancilla: weights on Fock levels 0..K (a simplex point)."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or w.size == 0:
-            raise ValueError("weights must be a nonempty vector")
-        if not np.all(np.isfinite(w)):
-            raise ValueError(f"weights must be finite, got {w}")
-        if np.any(w < -1e-12):
-            raise ValueError("weights must be nonnegative")
-        total = float(w.sum())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError("weights must sum to 1")
-        w = np.clip(w, 0.0, None) / total
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
+class AncillaCandidate(DiagonalFockState):
+    """Phase-invariant ancilla of the channel's dilation: a number-diagonal state."""
 
     @classmethod
     def vacuum(cls) -> "AncillaCandidate":
         return cls(np.array([1.0]))
-
-    @classmethod
-    def fock(cls, level: int) -> "AncillaCandidate":
-        level = check_count("level", level)
-        w = np.zeros(level + 1)
-        w[level] = 1.0
-        return cls(w)
-
-    @property
-    def max_level(self) -> int:
-        return self.weights.size - 1
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +286,7 @@ def simulate_channel(
     kind: str,
     k: float,
     state: DiagonalFockState,
-    ancilla: AncillaCandidate,
+    ancilla: DiagonalFockState,
     cutoff: int,
 ) -> DiagonalFockState:
     """Channel output by explicit two-mode unitary evolution.
@@ -325,14 +296,15 @@ def simulate_channel(
     (amplification, k = cosh r), then traces out the ancilla mode.  Both
     generators conserve a quantum number, so the evolution runs sector by
     sector, one ladder decomposition each (mirrored squeezer sectors d
-    and -d share one); output mass beyond `cutoff` is measured into the
-    tail bound.
+    and -d share one).  The output's tail bound is the input's and the
+    ancilla's plus the output mass measured beyond `cutoff`.
     """
     kind = normalize_kind(kind)
     k = check_k(kind, k, closed=True)
     cutoff = check_count("cutoff", cutoff)
-    out, beyond = _channel_outputs(kind, k, state.probs[None], ancilla.weights[None], cutoff)
-    return DiagonalFockState(out[0, 0], cutoff, state.tail_bound + max(float(beyond[0, 0]), 0.0))
+    out, beyond = _channel_outputs(kind, k, state.probs[None], ancilla.probs[None], cutoff)
+    tail = state.tail_bound + ancilla.tail_bound + max(float(beyond[0, 0]), 0.0)
+    return DiagonalFockState(out[0, 0], tail)
 
 
 def kraus_operators(kind: str, k: float, in_cutoff: int, out_cutoff: int) -> list[np.ndarray]:
@@ -693,6 +665,8 @@ def verify_covariance(
 # Half-width of the quadrature window in units of the larger standard
 # deviation; the omitted Gaussian mass at 8 sigma is below 1.3e-15.
 _TAIL_SIGMAS = 8.0
+# absolute error case4_risk_quad certifies, quadrature estimates and tail
+_QUAD_TOL = 1e-12
 
 
 def _abs_diff_quad(
@@ -731,23 +705,20 @@ def _abs_diff_quad(
     return 2.0 * val, 2.0 * err
 
 
-def case4_risk_quad(
-    s_t: float, s2: float, var1: float, var2: float, abs_tol: float = 1e-8
-) -> float:
+def case4_risk_quad(s_t: float, s2: float, var1: float, var2: float) -> float:
     """Joint product-law L1 distance by adaptive quadrature per photon number.
 
     Independent of risk.case4_risk's closed-form terms: each term
     |A_n N(0,var1) - B_n N(0,var2)| is integrated numerically, with an
     error request proportional to the term's mass (the requests sum to
-    less than abs_tol / 2).  The series stops once the geometric tails
-    s_t^(n+1) + s2^(n+1) fall below abs_tol / 4.  Raises
-    RuntimeError if the summed error estimates and tail exceed abs_tol.
+    less than _QUAD_TOL / 2).  The series stops once the geometric tails
+    s_t^(n+1) + s2^(n+1) fall below _QUAD_TOL / 4.  Raises RuntimeError
+    if the summed error estimates and tail exceed _QUAD_TOL.
     """
     check_thermal("s_t", s_t)
     check_thermal("s2", s2)
     check_positive("var1", var1)
     check_positive("var2", var2)
-    check_positive("abs_tol", abs_tol)
     sig1, sig2 = math.sqrt(var1), math.sqrt(var2)
     L = _TAIL_SIGMAS * max(sig1, sig2)
     total = 0.0
@@ -756,17 +727,17 @@ def case4_risk_quad(
     while True:
         A = (1.0 - s_t) * s_t**n
         B = (1.0 - s2) * s2**n
-        eps_n = min(abs_tol * 1e-4, max(0.25 * abs_tol * (A + B), 1e-15))
+        eps_n = min(_QUAD_TOL * 1e-4, max(0.25 * _QUAD_TOL * (A + B), 1e-15))
         val, err = _abs_diff_quad(A, sig1, B, sig2, L, eps_n)
         total += val
         err_quad += err
         tail = s_t ** (n + 1) + s2 ** (n + 1)
-        if tail < 0.25 * abs_tol:
+        if tail < 0.25 * _QUAD_TOL:
             break
         n += 1
-    if err_quad + tail > abs_tol:
+    if err_quad + tail > _QUAD_TOL:
         raise RuntimeError(
-            f"quadrature error {err_quad + tail:.3e} exceeds requested {abs_tol:.3e}"
+            f"quadrature error {err_quad + tail:.3e} exceeds requested {_QUAD_TOL:.3e}"
         )
     return min(total, 2.0)
 
@@ -804,10 +775,7 @@ def _check_fock_metric(rng: np.random.Generator, fast: bool) -> dict:
     for _ in range(trials):
         cut = int(rng.integers(5, 40))
         raw = rng.random((3, cut + 1))
-        states = []
-        for row in raw:
-            probs = row / row.sum()
-            states.append(DiagonalFockState(probs, cut, 0.0))
+        states = [DiagonalFockState(row / row.sum()) for row in raw]
         pq = l1_distance(states[0], states[1]).value
         qp = l1_distance(states[1], states[0]).value
         pr = l1_distance(states[0], states[2]).value
@@ -954,13 +922,11 @@ def _check_diagonal_output(rng: np.random.Generator, fast: bool) -> dict:
     # square: total <= cutoff for the beamsplitter, and for the squeezer
     # every output (m, m - d) with m <= in_cutoff stays retained
     cutoff = 14
-    anc = AncillaCandidate(np.array([0.6, 0.3, 0.1]))
-    src = thermal_state(0.45, cutoff - anc.max_level)
+    anc = DiagonalFockState(np.array([0.6, 0.3, 0.1]))
+    src = thermal_state(0.45, cutoff - anc.cutoff)
     size = cutoff + 1
-    tau = np.zeros(size)
-    tau[: anc.weights.size] = anc.weights
     # diagonal product state (input tensor ancilla) on the joint basis
-    joint = np.kron(src.padded(cutoff), tau)
+    joint = np.kron(src.padded(cutoff), anc.padded(cutoff))
     worst_offdiag = 0.0
     worst_gap = 0.0
     for kind, k in ((ATTENUATE, 0.7), (AMPLIFY, 1.3)):
@@ -971,7 +937,7 @@ def _check_diagonal_output(rng: np.random.Generator, fast: bool) -> dict:
         diag = np.diag(reduced)
         worst_offdiag = max(worst_offdiag, float(np.sum(np.abs(reduced - np.diag(diag)))))
         fast_path = simulate_channel(kind, k, src, anc, cutoff)
-        upto = cutoff if kind == ATTENUATE else cutoff - anc.max_level
+        upto = cutoff if kind == ATTENUATE else cutoff - anc.cutoff
         worst_gap = max(worst_gap, float(np.max(np.abs(diag[: upto + 1] - fast_path.probs[: upto + 1]))))
     ok = worst_offdiag <= 1e-10 and worst_gap <= 1e-10
     return _report(ok, offdiagonal_mass=worst_offdiag, fast_path_gap=worst_gap)
@@ -1250,7 +1216,7 @@ def _check_case4_bounds(rng: np.random.Generator, fast: bool) -> dict:
         upper = rep.classical_risk + rep.quantum_risk
         worst_low = max(worst_low, lower - rep.total_risk)
         worst_high = max(worst_high, rep.total_risk - upper)
-        quad_val = case4_risk_quad(rep.s_tilde, sc.s2, k * k * sc.V1, sc.V2, abs_tol=1e-12)
+        quad_val = case4_risk_quad(rep.s_tilde, sc.s2, k * k * sc.V1, sc.V2)
         worst_quad = max(worst_quad, abs(quad_val - rep.total_risk))
     ok = worst_low <= 1e-8 and worst_high <= 1e-8 and worst_quad <= 1e-10
     return _report(

@@ -59,9 +59,26 @@ def worker_count(explicit: int | str | None = None) -> int:
     return check_count(name, value, least=1)
 
 
+# the type each SweepConfig field must have; threads is worker_count's to check
+_SHAPES = {"target": str, "output": str, "ranges": dict, "fixed": dict, "mode": (str, type(None))}
+
+
+def _check_field(key: str, value) -> None:
+    """ValueError naming a SweepConfig field, or a config key, of the wrong shape."""
+    if key == "threads":
+        if value is not None:
+            worker_count(value)
+    elif not isinstance(value, _SHAPES[key]):
+        what = "an object" if _SHAPES[key] is dict else "a string"
+        raise ValueError(f"config key {key!r} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
-    """One sweep request: a target, optional overrides, and an output path."""
+    """One sweep request: a target, optional overrides, and an output path.
+
+    Construction checks every field's type (see `_check_field`).
+    """
 
     target: str
     output: str
@@ -72,23 +89,24 @@ class SweepConfig:
     # (what, name) pairs the target's plan has read, as run_sweep names them
     _read: set = field(default_factory=set, init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        for key in _INIT_FIELDS:
+            _check_field(key, getattr(self, key))
+
+
+_INIT_FIELDS = [f.name for f in fields(SweepConfig) if f.init]
+
 
 def read_config(settings: dict, **flags) -> SweepConfig:
     """The SweepConfig of a config-file object, whose keys are SweepConfig's
     fields, with flags laid over it: None flags are unset, and `ranges` and
     `fixed` flags replace entries by name.  ValueError names an unknown key
-    or one of the wrong shape; a missing target or output comes back None.
+    or one of the wrong shape, and a missing target or output.
     """
-    keys = [f.name for f in fields(SweepConfig) if f.init]
     for key, value in settings.items():
-        if key not in keys:
-            raise ValueError(f"unknown config key {key!r}; keys are {', '.join(keys)}")
-        shape = dict if key in ("ranges", "fixed") else str
-        if key == "threads":
-            worker_count(value)
-        elif not isinstance(value, shape):
-            what = "an object" if shape is dict else "a string"
-            raise ValueError(f"config key {key!r} must be {what}, got {value!r}")
+        if key not in _INIT_FIELDS:
+            raise ValueError(f"unknown config key {key!r}; keys are {', '.join(_INIT_FIELDS)}")
+        _check_field(key, value)  # also where a flag overrides it
     merged = {"target": None, "output": None, **settings}
     merged.update((key, value) for key, value in flags.items() if value is not None)
     for key in ("ranges", "fixed"):
@@ -291,7 +309,7 @@ def run_sweep(config: SweepConfig) -> str:
     emitted as nan and counted in the `# warnings:` metadata line rather
     than aborting the sweep.  An unknown target, or a fixed name, range
     name or mode the target never reads, raises ValueError before anything
-    is written.
+    is written; the output is opened before the first row is computed.
     """
     if config.target not in FIGURE_TARGETS:
         raise ValueError(
@@ -313,12 +331,12 @@ def run_sweep(config: SweepConfig) -> str:
             pad = len(plan.header) - len(vals)
             return list(vals) + [float("nan")] * pad
 
-    with ThreadPoolExecutor(max_workers=worker_count(config.threads)) as pool:
+    pool = ThreadPoolExecutor(max_workers=worker_count(config.threads))
+    # opened before the first row, so an unwritable path fails before the work
+    with pool, open(config.output, "w", encoding="utf-8", newline="") as fh:
         rows = list(pool.map(safe_row, plan.points))
-
-    warnings = sum(any(isinstance(v, float) and math.isnan(v) for v in r) for r in rows)
-    meta = [("tool", f"gauss-purify {__version__}"), ("target", config.target), *plan.meta]
-    with open(config.output, "w", encoding="utf-8", newline="") as fh:
+        warnings = sum(any(isinstance(v, float) and math.isnan(v) for v in r) for r in rows)
+        meta = [("tool", f"gauss-purify {__version__}"), ("target", config.target), *plan.meta]
         fh.writelines(f"# {key}: {val}\n" for key, val in meta + [("warnings", warnings)])
         fh.write(",".join(plan.header) + "\n")
         fh.writelines(",".join(_fmt(v) for v in row) + "\n" for row in rows)

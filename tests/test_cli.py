@@ -7,12 +7,14 @@ JSON) so cosmetic changes don't break them.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
+from gauss_purify import cli, oracles, sweeps
 from gauss_purify.oracles import SUITE_NAMES
 from gauss_purify.sweeps import FIGURE_TARGETS
 
@@ -265,15 +267,23 @@ def test_sweep_config_range_of_wrong_shape_is_named(tmp_path, k_range):
         ({"mode": 1}, "config key 'mode' must be a string, got 1"),
         ({"thread": 2}, "unknown config key 'thread'"),
         ({"rangse": {"k": [0.1, 1.0, 3]}}, "unknown config key 'rangse'"),
+        # a file that is not JSON at all, given as its text
+        pytest.param(
+            '{"target": "fig2a",\n',
+            "config file '{cfg}' is not valid JSON: Expecting property name",
+            id="truncated-json",
+        ),
     ],
 )
 def test_sweep_config_of_wrong_shape_is_named(tmp_path, extra, message):
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "out.csv"
-    cfg.write_text(json.dumps({"target": "fig2a", "output": str(out), **extra}), encoding="utf-8")
+    if isinstance(extra, dict):
+        extra = json.dumps({"target": "fig2a", "output": str(out), **extra})
+    cfg.write_text(extra, encoding="utf-8")
     proc = run_cli("sweep", "--config", str(cfg), check=False)
     assert proc.returncode == 2
-    assert f"error: {message}" in proc.stderr.splitlines()[-1]
+    assert f"error: {message.format(cfg=cfg)}" in proc.stderr.splitlines()[-1]
     assert "Traceback" not in proc.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
@@ -341,6 +351,27 @@ def test_missing_file_or_directory_is_named(tmp_path, args):
     assert proc.stderr.startswith("error: [Errno 2] No such file or directory: ")
     assert str(missing) in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not missing.exists()
+
+
+def test_missing_output_directory_fails_before_the_work(tmp_path, monkeypatch, capsys):
+    # in-process, so the row function and the suite can count their calls
+    calls = []
+    plan_fig4 = sweeps.FIGURE_TARGETS["fig4"]
+
+    def counting_plan(cfg):
+        plan = plan_fig4(cfg)
+        return dataclasses.replace(plan, row_fn=lambda p: calls.append(p) or plan.row_fn(p))
+
+    monkeypatch.setitem(sweeps.FIGURE_TARGETS, "fig4", counting_plan)
+    monkeypatch.setattr(oracles, "run_verification_suite", lambda **kw: calls.append(kw))
+    missing = tmp_path / "missing"
+    assert cli.main(["sweep", "--target", "fig4", "--output", str(missing / "fig4.csv")]) == 2
+    assert cli.main(["verify", "--suite", "full", "--output", str(missing / "v.json")]) == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert err.count("error: [Errno 2] No such file or directory: ") == 2
+    assert "Traceback" not in err
     assert not missing.exists()
 
 

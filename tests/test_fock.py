@@ -12,7 +12,6 @@ from gauss_purify.fock import (
     DiagonalFockState,
     displacement_matrix,
     displacement_matrix_element,
-    from_probs,
     l1_distance,
     mean_photon,
     number_state,
@@ -56,12 +55,12 @@ def test_thermal_mean_photon(s, cutoff):
     assert abs(mean_photon(state) - exact) <= slack + 1e-12
 
 
-def test_from_probs_validates():
+def test_constructor_validates():
     with pytest.raises(ValueError):
-        from_probs([0.5, -0.1, 0.6])
+        DiagonalFockState([0.5, -0.1, 0.6])
     with pytest.raises(ValueError):
-        from_probs([0.5, 0.2])  # misses 0.3 of mass, no tail declared
-    state = from_probs([0.5, 0.2], tail_bound=0.3)
+        DiagonalFockState([0.5, 0.2])  # misses 0.3 of mass, no tail declared
+    state = DiagonalFockState([0.5, 0.2], tail_bound=0.3)
     assert state.cutoff == 1
 
 
@@ -92,7 +91,7 @@ def test_l1_distance_certified_interval():
 
 def test_l1_distance_rejects_unnormalized():
     # full head mass plus a fat declared tail overshoots norm + tail = 1
-    bad = DiagonalFockState(np.array([1.0]), 0, 0.5)
+    bad = DiagonalFockState(np.array([1.0]), 0.5)
     with pytest.raises(ValueError):
         l1_distance(bad, thermal_state(0.5, 1))
 

@@ -23,7 +23,7 @@ from gauss_purify.channels import (
     attenuate_kernel,
     channel_s_tilde,
 )
-from gauss_purify.fock import number_state, thermal_state, vacuum_state
+from gauss_purify.fock import DiagonalFockState, number_state, thermal_state, vacuum_state
 from gauss_purify import oracles
 from gauss_purify.oracles import (
     AncillaCandidate,
@@ -128,7 +128,7 @@ def test_batched_outputs_match_separate_simulations(kind, k, cutoff):
     )
     for i, src in enumerate(srcs):
         for lvl in range(levels + 1):
-            sim = simulate_channel(kind, k, src, AncillaCandidate.fock(lvl), cutoff)
+            sim = simulate_channel(kind, k, src, number_state(lvl), cutoff)
             assert np.max(np.abs(outs[i, lvl] - sim.probs)) <= 1e-14
             assert abs(src.tail_bound + max(beyond[i, lvl], 0.0) - sim.tail_bound) <= 1e-14
 
@@ -240,10 +240,21 @@ def test_amplifier_simulation_leaves_global_rng_alone(monkeypatch):
     assert np.max(np.abs(sim.probs - ker.probs)) < 1e-12
 
 
+@pytest.mark.parametrize("kind, k", [(ATTENUATE, 0.7), (AMPLIFY, 1.3)])
+def test_ancilla_tail_bound_raises_the_output_tail_bound(kind, k):
+    # the vacuum's law with 0.25 of mass declared omitted: same output law,
+    # and the omitted mass goes into the output's bound
+    src = thermal_state(0.4, 10)
+    vac = simulate_channel(kind, k, src, AncillaCandidate.vacuum(), 40)
+    loose = simulate_channel(kind, k, src, DiagonalFockState([1.0], tail_bound=0.25), 40)
+    assert np.array_equal(loose.probs, vac.probs)
+    assert abs(loose.tail_bound - (vac.tail_bound + 0.25)) <= 1e-15
+
+
 def test_fock_ancilla_changes_output():
     src = number_state(2, cutoff=10)
     vac = simulate_channel(ATTENUATE, 0.7, src, AncillaCandidate.vacuum(), 10)
-    one = simulate_channel(ATTENUATE, 0.7, src, AncillaCandidate.fock(1), 11)
+    one = simulate_channel(ATTENUATE, 0.7, src, number_state(1), 11)
     assert np.max(np.abs(vac.padded(11) - one.probs)) > 1e-3
 
 
@@ -310,7 +321,7 @@ def test_covariance_single_displacement():
 
 def test_case4_closed_form_agrees_with_quadrature():
     args = (0.7, 0.3, 1.4, 0.8)
-    assert abs(case4_risk(*args) - case4_risk_quad(*args, abs_tol=1e-10)) < 1e-8
+    assert abs(case4_risk(*args) - case4_risk_quad(*args)) < 1e-8
 
 
 def test_suite_registry():

@@ -31,7 +31,6 @@ from gauss_purify.fock import (
     DiagonalFockState,
     displacement_matrix,
     displacement_matrix_element,
-    from_probs,
     number_state,
     thermal_state,
 )
@@ -494,18 +493,18 @@ def test_nan_reproducers_raise_value_error():
 
 
 def _two_level_state(probs, tail_bound=0.0):
-    """from_probs([probs, 0.5]): a bad value lands in one entry of the law."""
-    return from_probs([probs, 0.5], tail_bound=tail_bound)
+    """DiagonalFockState([probs, 0.5]): a bad value lands in one entry of the law."""
+    return DiagonalFockState([probs, 0.5], tail_bound=tail_bound)
 
 
-def _one_level_ancilla(weights):
-    """AncillaCandidate([weights]): the bad value is the whole simplex point."""
-    return AncillaCandidate(np.array([weights]))
+def _one_level_ancilla(probs):
+    """AncillaCandidate([probs]): the bad value is the whole law."""
+    return AncillaCandidate(np.array([probs]))
 
 
-def _two_level_ancilla(weights):
-    """AncillaCandidate([0.5, weights]): a bad value in one level."""
-    return AncillaCandidate(np.array([0.5, weights]))
+def _two_level_ancilla(probs):
+    """AncillaCandidate([0.5, probs]): a bad value in one level."""
+    return AncillaCandidate(np.array([0.5, probs]))
 
 
 def _amp_s_tilde(s1, k):
@@ -524,7 +523,7 @@ _NONFINITE = (math.nan, math.inf, -math.inf)
 _NONFINITE_CASES = [
     (thermal_state, dict(s=0.5, cutoff=5), ["s"]),
     (_two_level_state, dict(probs=0.5), ["probs"]),
-    (from_probs, dict(probs=[1.0], tail_bound=0.0), ["tail_bound"]),
+    (DiagonalFockState, dict(probs=[1.0], tail_bound=0.0), ["tail_bound"]),
     (channel_s_tilde, dict(kind="att", s1=0.5, k=0.5), ["s1", "k"]),
     (gaussian_noise_topup, dict(s_tilde=0.2, s2=0.5), ["s_tilde", "s2"]),
     (
@@ -559,10 +558,10 @@ _NONFINITE_CASES = [
     (
         case4_risk_quad,
         dict(s_t=0.5, s2=0.3, var1=1.5, var2=1.0),
-        ["s_t", "s2", "var1", "var2", "abs_tol"],
+        ["s_t", "s2", "var1", "var2"],
     ),
-    (_one_level_ancilla, dict(weights=1.0), ["weights"]),
-    (_two_level_ancilla, dict(weights=0.5), ["weights"]),
+    (_one_level_ancilla, dict(probs=1.0), ["probs"]),
+    (_two_level_ancilla, dict(probs=0.5), ["probs"]),
     (_one_point_covariance, dict(alpha_grid=0.5), ["alpha_grid"]),
     (displacement_matrix, dict(alpha=0.5, dim=4), ["alpha"]),
     (displacement_matrix_element, dict(m=0, n=1, alpha=0.5), ["alpha"]),
@@ -629,7 +628,6 @@ _NONFINITE_CASES = [
         (-1, 2.5, *_NONFINITE),
     ),
     (thermal_state(0.3, 3).padded, dict(cutoff=5), ["cutoff"], (-1, 4.5, *_NONFINITE)),
-    (AncillaCandidate.fock, dict(level=1), ["level"], (-1, 2.5, *_NONFINITE)),
     (
         verify_covariance,
         dict(kind="amp", k=1.2, alpha_grid=[0.3], s1=0.3, in_cutoff=4),
@@ -648,12 +646,8 @@ _NONFINITE_CASES = [
         ["alpha_grid"],
         ([], [0]),
     ),
-    (
-        DiagonalFockState,
-        dict(probs=np.ones(3) / 3, cutoff=2, tail_bound=0.0),
-        ["cutoff"],
-        (-1, 2.5, *_NONFINITE),
-    ),
+    # a law needs one level at least, on one axis
+    (DiagonalFockState, dict(probs=[1.0]), ["probs"], ([], [[1.0]])),
     (run_verification_suite, dict(suite="fast"), ["seed"], (-1, 2.5, *_NONFINITE)),
 ]
 
@@ -727,12 +721,6 @@ def test_package_loads_its_names_on_first_use():
 )
 def test_fmt_spellings(value, text):
     assert _fmt(value) == text
-
-
-def test_integral_cutoff_is_stored_as_int():
-    state = DiagonalFockState(np.ones(3) / 3, 2.0, 0.0)
-    assert type(state.cutoff) is int
-    assert state.padded(4).tolist() == [1 / 3] * 3 + [0.0, 0.0]
 
 
 _STDLIB_PARAMS_CHILD = """

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +160,24 @@ def test_unread_sweep_names_rejected(tmp_path, target, extra, message):
     with pytest.raises(ValueError, match=f"^target {target!r} {message}$"):
         run_sweep(SweepConfig(target, str(out), **extra))
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        (("fig4", 7), {}, "config key 'output' must be a string, got 7"),
+        ((["fig2a"], "x.csv"), {}, "config key 'target' must be a string, got ['fig2a']"),
+        (("fig4", "x.csv"), dict(ranges=["r0"]), "config key 'ranges' must be an object"),
+        (("fig4", "x.csv"), dict(fixed=None), "config key 'fixed' must be an object"),
+        (("custom", "x.csv"), dict(mode=1), "config key 'mode' must be a string, got 1"),
+        (("fig4", "x.csv"), dict(threads=[2]), "threads must be an integer >= 1, got [2]"),
+    ],
+)
+def test_python_built_config_of_wrong_type_is_named(tmp_path, monkeypatch, args, kwargs, message):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        run_sweep(SweepConfig(*args, **kwargs))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_custom_gaussian_mode_reads_its_own_names(tmp_path):
