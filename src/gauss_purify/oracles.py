@@ -24,6 +24,7 @@ from scipy.special import gammaln
 
 from . import risk as risk_mod
 from .channels import (
+    _auto_out_cutoff,
     amplify_kernel,
     attenuate_kernel,
     fock_ancilla_outputs,
@@ -252,16 +253,15 @@ def _sector_needs(kind: str, na: np.ndarray, nb: np.ndarray) -> tuple[dict, dict
     return members, {s: index[sel] for s, sel in members.items()}
 
 
-def _channel_outputs(
-    kind: str, k: float, probs: np.ndarray, taus: np.ndarray, cutoff: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _channel_outputs(kind: str, k: float, probs: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """Output laws of every (input, ancilla) pair, one ladder per sector.
 
     probs (P, n_in+1) and taus (Q, k_anc+1) stack the input and ancilla
     photon-number laws.  The outer loop runs over conserved sectors;
     each ladder is decomposed once and every column any pair needs is
-    taken from it.  Returns the output laws (P, Q, cutoff+1) and the mass
-    each pair sends beyond `cutoff` (P, Q).
+    taken from it.  Returns the output laws (P, Q, rows) over every row
+    a ladder reaches; a squeezer ladder is certified by its edge mass,
+    so the rows past it carry less than `_EDGE_MASS`.
     """
     P, Q = probs.shape[0], taus.shape[0]
     # every (n, kap) level pair with weight in some input and some ancilla
@@ -269,17 +269,16 @@ def _channel_outputs(
     live_kap = np.flatnonzero(np.any(taus != 0.0, axis=0))
     n, kap = np.repeat(live_n, live_kap.size), np.tile(live_kap, live_n.size)
     members, needs = _sector_needs(kind, n, kap)
-    out = np.zeros((P, Q, cutoff + 1))
-    beyond = np.zeros((P, Q))
+    parts = []
     for sector, m_vals, _, cols in _sectors(kind, k, needs):
         sel = members[sector]
         # pair weights, one row per column and one entry per (input, ancilla)
         w = probs[:, n[sel]].T[:, :, None] * taus[:, kap[sel]].T[:, None, :]
-        mass = (cols * cols) @ w.reshape(sel.size, P * Q)
-        keep = m_vals <= cutoff
-        out[:, :, m_vals[keep]] += mass[keep].T.reshape(P, Q, -1)
-        beyond += mass[~keep].sum(axis=0).reshape(P, Q)
-    return out, beyond
+        parts.append((m_vals, (cols * cols) @ w.reshape(sel.size, P * Q)))
+    out = np.zeros((1 + max(int(m_vals.max()) for m_vals, _ in parts), P * Q))
+    for m_vals, mass in parts:
+        out[m_vals] += mass
+    return out.T.reshape(P, Q, -1)
 
 
 def simulate_channel(
@@ -296,42 +295,42 @@ def simulate_channel(
     (amplification, k = cosh r), then traces out the ancilla mode.  Both
     generators conserve a quantum number, so the evolution runs sector by
     sector, one ladder decomposition each (mirrored squeezer sectors d
-    and -d share one).  The output's tail bound is the input's and the
-    ancilla's plus the output mass measured beyond `cutoff`.
+    and -d share one).  The output holds photon numbers 0 .. `cutoff`;
+    its tail bound is the input's and the ancilla's plus the output mass
+    the ladders carry beyond `cutoff`.
     """
     kind = normalize_kind(kind)
     k = check_k(kind, k, closed=True)
     cutoff = check_count("cutoff", cutoff)
-    out, beyond = _channel_outputs(kind, k, state.probs[None], ancilla.probs[None], cutoff)
-    tail = state.tail_bound + ancilla.tail_bound + max(float(beyond[0, 0]), 0.0)
-    return DiagonalFockState(out[0, 0], tail)
+    out = _channel_outputs(kind, k, state.probs[None], ancilla.probs[None])[0, 0]
+    probs = np.zeros(cutoff + 1)
+    probs[: out.size] = out[: cutoff + 1]
+    tail = state.tail_bound + ancilla.tail_bound + float(out[cutoff + 1 :].sum())
+    return DiagonalFockState(probs, tail)
 
 
-def kraus_operators(kind: str, k: float, in_cutoff: int, out_cutoff: int) -> list[np.ndarray]:
+def kraus_operators(kind: str, k: float, in_cutoff: int) -> list[np.ndarray]:
     """Vacuum-ancilla Kraus operators B_j of the channel, from the unitary.
 
     B_j[m, n] is the amplitude of |m, j> in the evolved |n, 0>, read from
     the ladder of |n, 0> (the conserved-total block of the beamsplitter,
     where B_j loses j photons, or the squeezer ladder at difference n,
-    where it gains them) and kept for m <= out_cutoff.  j runs up to the
-    largest ancilla level any kept entry reaches: in_cutoff for
-    attenuation; for amplification, the largest level a certified
-    squeezer ladder reaches within out_cutoff (entries past a ladder
+    where it gains them).  Rows m and levels j run over every state a
+    ladder reaches: m, j <= in_cutoff for attenuation; for amplification,
+    as far as the certified squeezer ladders go (entries past a ladder
     carry less than `_EDGE_MASS` and are zero).
     """
     kind = normalize_kind(kind)
     k = check_k(kind, k, closed=True)
     in_cutoff = check_count("in_cutoff", in_cutoff)
-    out_cutoff = check_count("out_cutoff", out_cutoff)
     n = np.arange(in_cutoff + 1)
     _, needs = _sector_needs(kind, n, np.zeros_like(n))
     parts = []
     for sector, na, nb, cols in _sectors(kind, k, needs):
-        keep = na <= out_cutoff
         src = na[needs[sector][0]]
-        parts.append((nb[keep], na[keep], np.full(keep.sum(), src), cols[keep, 0]))
+        parts.append((nb, na, np.full(na.size, src), cols[:, 0]))
     j, m, src, amps = (np.concatenate(p) for p in zip(*parts))
-    ops = np.zeros((int(j.max()) + 1, out_cutoff + 1, in_cutoff + 1))
+    ops = np.zeros((int(j.max()) + 1, int(m.max()) + 1, in_cutoff + 1))
     ops[j, m, src] = amps
     return list(ops)
 
@@ -462,22 +461,19 @@ def ancilla_optimality_search(
     max_level = check_count("max_level", max_level)
     samples = check_count("samples", samples)
     seed = check_count("seed", seed)
-    n_in = _thermal_cutoff(s1, 1e-13)
-    if kind == ATTENUATE:
-        out_cut = n_in + max_level
-    else:
-        gain = k * k
-        bulk = (n_in + max_level + 1) * gain
-        out_cut = int(bulk + 10.0 * math.sqrt(bulk) + 80)
-    src = thermal_state(s1, n_in)
-    pure_outs = _channel_outputs(kind, k, src.probs[None], np.eye(max_level + 1), out_cut)[0][0]
-    target = thermal_state(s2, out_cut).probs
+    src = thermal_state(s1, _thermal_cutoff(s1, 1e-13))
+    pure_outs = _channel_outputs(kind, k, src.probs[None], np.eye(max_level + 1))[0]
+    target = thermal_state(s2, pure_outs.shape[1] - 1)
 
     rng = np.random.default_rng([seed, 7])
     weights = np.vstack(
         [np.eye(max_level + 1), rng.dirichlet(np.ones(max_level + 1), size=samples)]
     )
-    dists = np.abs(weights @ pure_outs - target[None, :]).sum(axis=1)
+    # in place: the (candidates x rows) block is the search's largest array
+    diff = weights @ pure_outs
+    diff -= target.probs
+    # past the ladders the outputs vanish and only the target's tail is left
+    dists = np.abs(diff, out=diff).sum(axis=1) + target.tail_bound
     vacuum = float(dists[0])
     best_idx = int(np.argmin(dists))
     best = float(dists[best_idx])
@@ -615,11 +611,13 @@ def verify_covariance(
     """Check the channel commutes with displacements: E(D ρ D†) = D' E(ρ) D'†.
 
     For each alpha on the grid the channel (as Kraus operators extracted
-    from the two-mode unitary) is applied to the displaced thermal state
-    and compared, in trace norm, against the displaced-by-k*alpha image
-    of the undisplaced output.  Also extracts the output displacement of
-    the principal mode; its deviation from k * alpha is reported.  Zero
-    points compare nothing, so the grid needs at least one nonzero point.
+    from the two-mode unitary, on every output row their ladders reach)
+    is applied to the displaced thermal state and compared, in trace
+    norm, against the displaced-by-k*alpha image of the undisplaced
+    output.  Also extracts the output displacement of the principal mode,
+    <a> = sum_m sqrt(m) rho[m, m-1]; its deviation from k * alpha is
+    reported.  Zero points compare nothing, so the grid needs at least
+    one nonzero point.
     """
     kind = normalize_kind(kind)
     k = check_k(kind, k, closed=True)
@@ -631,15 +629,11 @@ def verify_covariance(
         raise ValueError(f"alpha_grid must hold finite points with |alpha| <= 2, got {alphas}")
     if not any(alphas):
         raise ValueError(f"alpha_grid must hold a nonzero point, got {alphas}")
-    if kind == ATTENUATE:
-        out_cutoff = in_cutoff
-    else:
-        bulk = (in_cutoff + 1) * k * k
-        out_cutoff = int(bulk + 10.0 * math.sqrt(bulk) + 64)
-    ops = kraus_operators(kind, k, in_cutoff, out_cutoff)
+    ops = kraus_operators(kind, k, in_cutoff)
+    out_dim = ops[0].shape[0]
     rho_th = np.diag(thermal_state(s1, in_cutoff).probs).astype(complex)
     out0 = sum(B @ rho_th @ B.T for B in ops).astype(complex)
-    lower = np.diag(np.sqrt(np.arange(1.0, out_cutoff + 1)), 1)
+    root_m = np.sqrt(np.arange(1.0, out_dim))
 
     worst = 0.0
     gain_err = 0.0
@@ -649,12 +643,12 @@ def verify_covariance(
         d_in = displacement_matrix(alpha, in_cutoff + 1)
         rho_in = d_in @ rho_th @ d_in.conj().T
         out_sim = sum(B @ rho_in @ B.conj().T for B in ops)
-        d_out = displacement_matrix(k * alpha, out_cutoff + 1)
+        d_out = displacement_matrix(k * alpha, out_dim)
         out_ref = d_out @ out0 @ d_out.conj().T
         diff = out_sim - out_ref
         diff = 0.5 * (diff + diff.conj().T)
         worst = max(worst, float(np.sum(np.abs(np.linalg.eigvalsh(diff)))))
-        mean_out = complex(np.trace(out_sim @ lower))
+        mean_out = complex(root_m @ np.diagonal(out_sim, -1))
         gain_err = max(gain_err, abs(mean_out - k * alpha))
     return CovarianceReport(kind, float(k), float(s1), alphas, worst, gain_err)
 
@@ -860,14 +854,18 @@ def _check_column_stochastic(rng: np.random.Generator, fast: bool) -> dict:
     worst_amp = 0.0
     neg = 0.0
     for k in (1.2, 1.7):
-        G = k * k
-        out_cut = int((cut + 1) * G + 10 * math.sqrt((cut + 1) * G) + 200)
-        mat = gain_matrix(k, cut, out_cut)
+        mat = gain_matrix(k, cut, _auto_out_cutoff(k * k, cut))
         neg = min(neg, float(mat.min()))
         sums = mat.sum(axis=0)
         worst_amp = max(worst_amp, float(np.max(np.abs(sums - 1.0))))
     ok = worst_att <= 1e-12 and worst_amp <= 1e-10 and neg >= 0.0
     return _report(ok, att_err=worst_att, amp_err=worst_amp, min_entry=neg)
+
+
+def _max_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest entry gap between two output laws, on the rows both hold."""
+    rows = min(a.shape[0], b.shape[0])
+    return float(np.max(np.abs(a[:rows] - b[:rows])))
 
 
 def _check_kernel_vs_unitary(rng: np.random.Generator, fast: bool) -> dict:
@@ -880,13 +878,13 @@ def _check_kernel_vs_unitary(rng: np.random.Generator, fast: bool) -> dict:
     for k in ks:
         # one pass over the sectors serves every s1 (vacuum ancilla)
         kind = kind_for_k(k)
-        sims = _channel_outputs(kind, k, inputs, np.ones((1, 1)), cutoff)[0][:, 0]
+        sims = _channel_outputs(kind, k, inputs, np.ones((1, 1)))[:, 0]
         for src, sim in zip(srcs, sims):
             if kind == ATTENUATE:
                 kern = attenuate_kernel(k, src).probs
             else:
                 kern = amplify_kernel(k, src, out_cutoff=cutoff).probs
-            worst = max(worst, float(np.max(np.abs(kern - sim))))
+            worst = max(worst, _max_gap(kern, sim))
     return _report(
         worst <= 1e-8, max_entry_err=worst, cutoff=cutoff, k_grid=ks, s1_grid=s_vals
     )
@@ -965,8 +963,8 @@ def _check_stochastic_ordering(rng: np.random.Generator, fast: bool) -> dict:
     src = thermal_state(0.5, _thermal_cutoff(0.5, 1e-14))
     for kind, k in ((ATTENUATE, 0.6), (AMPLIFY, 1.5)):
         outs = fock_ancilla_outputs(kind, k, 0.5, 10)
-        ref, _ = _channel_outputs(kind, k, src.probs[None], np.eye(11), outs.shape[0] - 1)
-        law_err = max(law_err, float(np.max(np.abs(ref[0].T - outs))))
+        ref = _channel_outputs(kind, k, src.probs[None], np.eye(11))[0].T
+        law_err = max(law_err, _max_gap(ref, outs))
     ok = all(rep.ok for rep in reps) and all(map(_ordered, mix_margins)) and law_err <= 1e-12
     return _report(
         ok,

@@ -123,14 +123,17 @@ def test_batched_outputs_match_separate_simulations(kind, k, cutoff):
     # give what a separate simulation of each pair gives
     srcs = [thermal_state(0.3, 10), number_state(3, cutoff=10)]
     levels = 4
-    outs, beyond = _channel_outputs(
-        kind, k, np.stack([s.probs for s in srcs]), np.eye(levels + 1), cutoff
-    )
+    outs = _channel_outputs(kind, k, np.stack([s.probs for s in srcs]), np.eye(levels + 1))
+    rows = min(outs.shape[-1], cutoff + 1)
     for i, src in enumerate(srcs):
         for lvl in range(levels + 1):
             sim = simulate_channel(kind, k, src, number_state(lvl), cutoff)
-            assert np.max(np.abs(outs[i, lvl] - sim.probs)) <= 1e-14
-            assert abs(src.tail_bound + max(beyond[i, lvl], 0.0) - sim.tail_bound) <= 1e-14
+            assert sim.cutoff == cutoff
+            assert np.max(np.abs(outs[i, lvl, :rows] - sim.probs[:rows])) <= 1e-14
+            assert not np.any(sim.probs[rows:])
+            # what the ladders carry past cutoff goes into the tail bound
+            past = float(outs[i, lvl, cutoff + 1 :].sum())
+            assert abs(src.tail_bound + past - sim.tail_bound) <= 1e-14
 
 
 def test_amplifier_unitary_is_symmetric_under_mode_swap():
@@ -214,7 +217,7 @@ def test_high_gain_ladders_are_decomposed_once(monkeypatch):
     # this high gain shows in the count
     calls = _count_decompositions(monkeypatch)
     n_in = 30
-    _channel_outputs(AMPLIFY, 2.3, thermal_state(0.7, n_in).probs[None], np.eye(5), 265)
+    _channel_outputs(AMPLIFY, 2.3, thermal_state(0.7, n_in).probs[None], np.eye(5))
     # one ladder per |d| = |n - kappa|, d = -4..30
     assert len(calls) == n_in + 1
 
@@ -259,12 +262,15 @@ def test_fock_ancilla_changes_output():
 
 
 @pytest.mark.parametrize(
-    "kind, k, out_cutoff", [(ATTENUATE, 0.6, 20), (AMPLIFY, 1.3, 200)], ids=[ATTENUATE, AMPLIFY]
+    "kind, k",
+    [(ATTENUATE, 0.6), (AMPLIFY, 1.3), (AMPLIFY, 2.3)],
+    ids=[ATTENUATE, AMPLIFY, f"{AMPLIFY}-2.3"],
 )
-def test_kraus_operators_resolve_identity(kind, k, out_cutoff):
-    # the amplifier spreads |n> over m >= n, so its output cutoff must hold
-    # the geometric tail of every input column
-    ops = kraus_operators(kind, k, 20, out_cutoff)
+def test_kraus_operators_resolve_identity(kind, k):
+    # the amplifier spreads |n> over m >= n; the certified ladders must hold
+    # the geometric tail of every input column, at high gain too (an output
+    # cut at (n + 1) k^2 + 10 sqrt((n + 1) k^2) + 64 lost 1.7e-8 at k = 2.3)
+    ops = kraus_operators(kind, k, 20)
     total = sum(B.T @ B for B in ops)
     assert np.max(np.abs(total - np.eye(21))) < 1e-12
 
@@ -272,15 +278,16 @@ def test_kraus_operators_resolve_identity(kind, k, out_cutoff):
 @pytest.mark.parametrize("kind, k", [(ATTENUATE, 0.6), (AMPLIFY, 1.2)])
 def test_kraus_operators_are_vacuum_ancilla_blocks_of_the_unitary(kind, k):
     # B_j[m, n] = <m, j| U |n, 0>; both come from the ladder of |n, 0>,
-    # which the unitary may run longer, so they agree to rounding
+    # which the unitary may run longer, so they agree to rounding on the
+    # square the unitary keeps
     cutoff = 6
     size = cutoff + 1
     U, _ = assemble_two_mode_unitary(kind, k, cutoff)
-    ops = kraus_operators(kind, k, cutoff, cutoff)
-    assert len(ops) == size
+    ops = kraus_operators(kind, k, cutoff)
+    assert len(ops) >= size and ops[0].shape[0] >= size
     m, n = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
-    for j, B in enumerate(ops):
-        assert np.max(np.abs(B - U[m * size + j, n * size])) <= 1e-14
+    for j, B in enumerate(ops[:size]):
+        assert np.max(np.abs(B[:size] - U[m * size + j, n * size])) <= 1e-14
 
 
 def test_stochastic_ordering_small():
@@ -384,6 +391,14 @@ def test_optimality_search_amplifier_above_threshold():
     assert rep.vacuum_risk == pytest.approx(
         quantum_minimax_risk(0.4, 0.8, 1.9, AMPLIFY), abs=1e-9
     )
+
+
+def test_optimality_search_counts_the_target_tail_past_the_outputs():
+    # the outputs end at photon number n_in + max_level = 15, and the hot
+    # target holds 0.95^16 = 0.44 of its mass past it; the risk counts it
+    rep = ancilla_optimality_search(ATTENUATE, 0.6, 0.1, 0.95, max_level=2, samples=20)
+    want, _ = risk_mod.geometric_l1(channel_s_tilde(ATTENUATE, 0.1, 0.6), 0.95)
+    assert rep.vacuum_risk == pytest.approx(want, abs=1e-12)
 
 
 def test_optimality_search_reports_counterexample_below_threshold():

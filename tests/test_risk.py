@@ -552,7 +552,7 @@ _NONFINITE_CASES = [
         ),
         ["k"],
     ),
-    (kraus_operators, dict(kind="amp", k=1.5, in_cutoff=3, out_cutoff=5), ["k"]),
+    (kraus_operators, dict(kind="amp", k=1.5, in_cutoff=3), ["k"]),
     (assemble_two_mode_unitary, dict(kind="amp", k=1.5, cutoff=3), ["k"]),
     (ClassicalGaussian, dict(mean=0.0, variance=1.0), ["mean", "variance"]),
     (
@@ -587,8 +587,8 @@ _NONFINITE_CASES = [
     (verify_noise_topup, dict(s_tilde=0.2, s2=0.5, samples=100), ["seed"], (-1, 2.5, *_NONFINITE)),
     (
         kraus_operators,
-        dict(kind="att", k=0.5, in_cutoff=3, out_cutoff=3),
-        ["in_cutoff", "out_cutoff"],
+        dict(kind="att", k=0.5, in_cutoff=3),
+        ["in_cutoff"],
         (-1, 2.5, *_NONFINITE),
     ),
     (assemble_two_mode_unitary, dict(kind="att", k=0.5, cutoff=3), ["cutoff"], (-1, *_NONFINITE)),
