@@ -23,7 +23,7 @@ from gauss_purify.channels import (
     attenuate_kernel,
     channel_s_tilde,
 )
-from gauss_purify.fock import DiagonalFockState, number_state, thermal_state, vacuum_state
+from gauss_purify.fock import DiagonalFockState, displacement_matrix, number_state, thermal_state, vacuum_state
 from gauss_purify import oracles
 from gauss_purify.oracles import (
     AncillaCandidate,
@@ -46,6 +46,8 @@ from gauss_purify.oracles import (
     _check_threshold_exactness,
     _displaced_thermal_pmf,
     _jsonable,
+    _kraus_diagonals,
+    _kraus_sum,
     _report,
     _thermal_cutoff,
     _tms_columns,
@@ -290,6 +292,38 @@ def test_kraus_operators_are_vacuum_ancilla_blocks_of_the_unitary(kind, k):
         assert np.max(np.abs(B[:size] - U[m * size + j, n * size])) <= 1e-14
 
 
+@pytest.mark.parametrize("kind, k", [(ATTENUATE, 0.6), (AMPLIFY, 1.3)])
+def test_kraus_operators_are_single_diagonals(kind, k):
+    # the dilation conserves a number, so B_j moves |n> to |n - j> (loss)
+    # or |n + j> (gain) alone; verify_covariance's scattered Kraus sum
+    # rests on this
+    ops = kraus_operators(kind, k, 12)
+    sign = 1 if kind == AMPLIFY else -1
+    assert len(ops) > 1
+    for j, B in enumerate(ops):
+        m, n = np.indices(B.shape)
+        assert np.all(B[m - n != sign * j] == 0.0), j
+        assert np.any(B != 0.0), j
+
+
+@pytest.mark.parametrize("alpha", [0.8, 0.6 - 0.9j, -1.1], ids=["real", "complex", "negative"])
+@pytest.mark.parametrize("kind, k", [(ATTENUATE, 0.5), (AMPLIFY, 1.3)])
+def test_scattered_kraus_sum_matches_the_dense_sum(kind, k, alpha):
+    # the reference: sum_j B_j rho B_j^T over the dense Kraus operators
+    cutoff = 16
+    ops = kraus_operators(kind, k, cutoff)
+    rows, amps = _kraus_diagonals(kind, k, cutoff)
+    probs = thermal_state(0.4, cutoff).probs
+    d = displacement_matrix(alpha, cutoff + 1)
+    rho = (d * probs) @ d.conj().T
+    want = sum(B @ rho @ B.T for B in ops)
+    assert np.max(np.abs(_kraus_sum(rows, amps, rho) - want)) <= 1e-14
+    # a diagonal input comes back as the diagonal of its image
+    want0 = sum(B @ np.diag(probs) @ B.T for B in ops)
+    assert np.max(np.abs(np.diag(want0) - _kraus_sum(rows, amps, probs))) <= 1e-14
+    assert np.max(np.abs(want0 - np.diag(np.diag(want0)))) == 0.0
+
+
 def test_stochastic_ordering_small():
     for kind, k in ((ATTENUATE, 0.7), (AMPLIFY, 1.4)):
         rep = check_stochastic_ordering(kind, k, 0.5, kappa_max=4)
@@ -466,13 +500,37 @@ def test_displaced_thermal_pmf_far_displacement_stays_finite(s):
             assert abs(got[m] - want) <= 1e-10 * want, m
 
 
-@pytest.mark.parametrize("s_tilde, s2", [(0.0, 0.9), (0.5, 0.8)])
+@pytest.mark.parametrize("s_tilde, s2", [(0.0, 0.9), (0.5, 0.8), (0.0, 0.99), (0.25, 0.99)])
 def test_topup_to_a_hot_target(s_tilde, s2):
-    # cutoffs 305 and 144 let the exact branch's quadrature reach
-    # displacements whose photon law needs the rescaled recurrence
+    # cutoffs 305, 144 and 3207 let the exact branch's rule reach
+    # displacements whose photon law needs the rescaled recurrence; the
+    # budget keeps 2x headroom over the hot cases' time
+    start = time.perf_counter()
     rep = verify_noise_topup(s_tilde, s2, samples=2000)
+    elapsed = time.perf_counter() - start
     assert rep.ok
     assert rep.exact_max_err <= 1e-10
+    assert elapsed < 2.0, elapsed
+
+
+def test_topup_blocks_are_bounded_by_entries(monkeypatch):
+    # at s2 = 0.99 a 20,000-row block of the 3208-entry law would take
+    # 490 MB; every block, quadrature nodes and samples alike, stays
+    # within 2^21 entries
+    true_fn = oracles._displaced_thermal_pmf
+    sizes = []
+
+    def recording(s, u_vals, cutoff):
+        sizes.append(np.size(u_vals) * (cutoff + 1))
+        return true_fn(s, u_vals, cutoff)
+
+    monkeypatch.setattr(oracles, "_displaced_thermal_pmf", recording)
+    assert verify_noise_topup(0.0, 0.99, samples=2000).ok
+    assert len(sizes) > 2 and max(sizes) <= 1 << 21
+    # at the suite's cutoffs the Monte-Carlo branch keeps 20,000-row blocks
+    sizes.clear()
+    verify_noise_topup(0.25, 0.5, samples=40_000)
+    assert max(sizes) == 20_000 * 47
 
 
 @pytest.mark.parametrize("s", [0.0, 0.25, 0.7])
