@@ -9,12 +9,14 @@ tail is known in closed form, which keeps every downstream distance
 computation honest about what the cutoff discarded.
 
 Displacement-operator matrix elements are provided for the verification
-layer; they use the associated-Laguerre closed form with log-domain
-factorials so that high orders neither overflow nor lose the phase.
+layer; the Laguerre three-term recurrence, in increment form, runs
+along every diagonal |m - n| at once, with the factorials and powers of
+|alpha| kept in logs, so high orders neither overflow nor lose the phase.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -185,41 +187,42 @@ def l1_distance(p: DiagonalFockState, q: DiagonalFockState) -> L1Distance:
     return L1Distance(value, p.tail_bound + q.tail_bound)
 
 
-def _displacement_entries(m, n, alpha: complex) -> np.ndarray:
-    """Entries <m|W_alpha|n> for broadcast integer arrays m, n and alpha != 0.
+def _log_factorials(top: int) -> np.ndarray:
+    """Table of log(j!) for j = 0 .. top, each entry from `math.lgamma`."""
+    return np.array([math.lgamma(j + 1.0) for j in range(top + 1)])
 
-    Associated-Laguerre closed form with the factorials and the power of
-    |alpha| kept in the log domain, so high orders neither overflow nor
-    lose the phase: |<m|W|n>| = exp(log_scale) |L_lo^(d)(|alpha|^2)| with
-    lo = min(m, n), d = |m - n|.  The Laguerre value itself stays within
-    double range for the orders used here (lo, d <= 500, |alpha|^2 <= ~10).
+
+def _laguerre_ratios(x: float, dim: int) -> np.ndarray:
+    """P[k, d] = L_k^(d)(x) / C(k+d, k) for k + d < dim; other entries unset.
+
+    The Laguerre three-term recurrence in k runs down every d at once in
+    increment form, D_k = P_(k+1) - P_k:
+
+        P_0 = 1,  D_0 = -x / (d+1),  D_k = (k D_(k-1) - x P_k) / (k+d+1).
+
+    Each increment is formed from x directly, so at small x no step
+    subtracts two numbers near P_k: the plain recurrence (2k+1+d-x) P_k
+    against (k+d) P_(k-1) loses about eps k^1.5 on the diagonal there
+    (3.6e-12 at k = 500, x = 1e-4).  |P| <= e^(x/2), so nothing
+    overflows.
     """
-    from scipy.special import eval_genlaguerre, gammaln
-
-    absa = abs(alpha)
-    x = absa * absa
-    lo = np.minimum(m, n)
-    d = np.abs(m - n)
-    lag = eval_genlaguerre(lo, d, x)
-    log_scale = 0.5 * (gammaln(lo + 1) - gammaln(lo + d + 1)) + d * np.log(absa) - x / 2.0
-    with np.errstate(divide="ignore"):  # log(0) where the Laguerre vanishes
-        mag = np.sign(lag) * np.exp(log_scale + np.log(np.abs(lag)))
-    mag = np.where(lag == 0.0, 0.0, mag)
-    ang = np.angle(alpha)
-    # Phase differs between the raising (m >= n) and lowering triangles:
-    # alpha^(m-n) against (-conj(alpha))^(n-m).
-    signed_d = np.where(m >= n, d, 0) * ang + np.where(m < n, d, 0) * np.angle(
-        -np.conj(alpha)
-    )
-    return mag * np.exp(1j * signed_d)
+    d = np.arange(dim, dtype=float)
+    P = np.empty((dim, dim))
+    P[0] = 1.0
+    D = -x / (d + 1.0)
+    for k in range(dim - 1):
+        live = dim - k - 1
+        P[k + 1, :live] = P[k, :live] + D[:live]
+        D = (k + 1) * D[: live - 1] - x * P[k + 1, : live - 1]
+        D /= k + 2 + d[: live - 1]
+    return P
 
 
 def displacement_matrix_element(m: int, n: int, alpha: complex) -> complex:
     """Matrix element <m| exp(alpha a^dag - conj(alpha) a) |n>.
 
-    The single entry of `displacement_matrix` at (m, n), computed alone;
-    overflow-safe at least up to m, n = 500 for moderate displacements.
-    The magnitude of the result never exceeds 1.
+    The entry (m, n) of ``displacement_matrix(alpha, max(m, n) + 1)``,
+    so it shares that method and error bound.  Its magnitude never exceeds 1.
 
     Parameters
     ----------
@@ -235,9 +238,7 @@ def displacement_matrix_element(m: int, n: int, alpha: complex) -> complex:
     m = check_count("m", m)
     n = check_count("n", n)
     alpha = check_alpha(alpha)
-    if alpha == 0:
-        return 1.0 + 0.0j if m == n else 0.0 + 0.0j
-    return complex(_displacement_entries(np.asarray(m), np.asarray(n), alpha))
+    return complex(displacement_matrix(alpha, max(m, n) + 1)[m, n])
 
 
 def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
@@ -245,11 +246,36 @@ def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
 
     Columns are unit vectors of the untruncated operator, so the column
     norms measure the truncation directly: 1 - sum_m |W[m, n]|^2 is the
-    mass pushed past the cutoff.
+    mass pushed past the cutoff.  With lo = min(m, n), d = |m - n| and
+    x = |alpha|^2 the magnitude, symmetric in (m, n), is
+
+        |alpha|^d e^(-x/2) sqrt((lo+d)! / lo!) / d! * P[lo, d],
+
+    P from the recurrence of `_laguerre_ratios` and the prefactor formed
+    in logs, so no order overflows; the phase is alpha^(m-n) on the
+    raising triangle (m >= n) and (-conj(alpha))^(n-m) on the lowering
+    one.  Every entry is within 2e-13 of a 50-digit closed form for
+    dim <= 500 and 1e-4 <= |alpha|^2 <= 10 (measured worst 8.3e-14), the
+    range tests/test_fock.py covers.
     """
     dim = check_count("dim", dim, least=1)
     alpha = check_alpha(alpha)
     if alpha == 0:
         return np.eye(dim, dtype=complex)
+    absa = abs(alpha)
+    x = absa * absa
     idx = np.arange(dim)
-    return _displacement_entries(idx[:, None], idx[None, :], alpha)
+    lo = np.minimum(idx[:, None], idx[None, :])
+    shift = idx[:, None] - idx[None, :]
+    d = np.abs(shift)
+    logf = _log_factorials(dim - 1)
+    # |<m|W|n>| = |alpha|^d e^(-x/2) sqrt((lo+d)!/lo!) / d! |P[lo, d]|, in logs
+    log_scale = (idx * math.log(absa) - 0.5 * x - logf)[d] + 0.5 * (logf[lo + d] - logf[lo])
+    ratio = _laguerre_ratios(x, dim)[lo, d]
+    with np.errstate(divide="ignore"):  # log(0) where the Laguerre vanishes
+        mag = np.sign(ratio) * np.exp(log_scale + np.log(np.abs(ratio)))
+    # phase by m - n: (-conj(alpha))^(n-m) for m < n, alpha^(m-n) for m >= n
+    phase = np.exp(1j * np.concatenate(
+        (idx[:0:-1] * np.angle(-np.conj(alpha)), idx * np.angle(alpha))
+    ))
+    return mag * phase[shift + dim - 1]

@@ -18,9 +18,7 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
 
 from . import risk as risk_mod
 from .channels import (
@@ -157,16 +155,19 @@ def _tms_length(r: float, a0: int, b0: int, t_max: int, n_cols: int) -> int:
     log_q, log_1q = 2.0 * math.log(math.tanh(r)), -2.0 * math.log(math.cosh(r))
     q = math.exp(log_q)
     n = a0 + b0 + 2 * t_max
-    log_scale = gammaln(n + 1) - gammaln(t_max + 1) - gammaln(n - t_max + 1) + math.log(n_cols)
+    lgamma = math.lgamma
+    log_scale = lgamma(n + 1) - lgamma(t_max + 1) - lgamma(n - t_max + 1) + math.log(n_cols)
     start, span = 0, 64
     while start <= _MAX_LADDER:
         t = np.arange(start, start + span, dtype=float)
         # successive pmf ratio; the law decreases past its mode, where ratio < 1
         ratio = q * (n + t + 1.0) / (t + 1.0)
-        log_nb = (
-            gammaln(n + t + 1.0) - gammaln(t + 1.0) - gammaln(n + 1.0)
-            + t * log_q + (n + 1) * log_1q
+        # log NB_n(t) at the window's first row, then the ratio's running sum
+        log_first = (
+            lgamma(n + start + 1.0) - lgamma(start + 1.0) - lgamma(n + 1.0)
+            + start * log_q + (n + 1) * log_1q
         )
+        log_nb = log_first + np.concatenate(([0.0], np.cumsum(np.log(ratio[:-1]))))
         with np.errstate(divide="ignore", invalid="ignore"):
             log_tail = log_scale + log_nb - np.log1p(-ratio)
         hit = np.flatnonzero((ratio < 1.0) & (log_tail < math.log(_EDGE_MASS)))
@@ -746,6 +747,10 @@ def _abs_diff_quad(
     crossover is handed to quad as a known kink.  Returns (value, error
     estimate).
     """
+    # imported on first use: only case4_risk_quad and the classical
+    # quadrature check integrate, so the rest of the layer loads without it
+    from scipy.integrate import quad
+
     a1 = c1 / (math.sqrt(2.0 * math.pi) * sig1)
     a2 = c2 / (math.sqrt(2.0 * math.pi) * sig2)
     inv1 = 0.5 / (sig1 * sig1)

@@ -7,8 +7,11 @@ so defects localize quickly.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import subprocess
+import sys
 import time
 
 import mpmath
@@ -214,6 +217,49 @@ def test_squeezer_length_rule_needs_no_retry_and_wastes_little(monkeypatch, k):
             assert not _edge_passes(r, a0, cols, shorter), (a0, t_max, length)
 
 
+def _tms_length_gammaln(r: float, a0: int, b0: int, t_max: int, n_cols: int) -> int:
+    """The ladder-length rule with every log NB_n(t) from its own gammaln terms."""
+    from scipy.special import gammaln
+
+    edge = math.log(oracles._EDGE_MASS)
+    log_q, log_1q = 2.0 * math.log(math.tanh(r)), -2.0 * math.log(math.cosh(r))
+    q = math.exp(log_q)
+    n = a0 + b0 + 2 * t_max
+    log_scale = gammaln(n + 1) - gammaln(t_max + 1) - gammaln(n - t_max + 1) + math.log(n_cols)
+    start, span = 0, 64
+    while start <= oracles._MAX_LADDER:
+        t = np.arange(start, start + span, dtype=float)
+        ratio = q * (n + t + 1.0) / (t + 1.0)
+        log_nb = (
+            gammaln(n + t + 1.0) - gammaln(t + 1.0) - gammaln(n + 1.0)
+            + t * log_q + (n + 1) * log_1q
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_tail = log_scale + log_nb - np.log1p(-ratio)
+        hit = np.flatnonzero((ratio < 1.0) & (log_tail < edge))
+        if hit.size:
+            return t_max + start + int(hit[0]) + oracles._EDGE_ROWS
+        start += span
+        span *= 2
+    return t_max + start + oracles._EDGE_ROWS
+
+
+def test_ladder_length_matches_the_gammaln_rule():
+    # the running sum of log ratios must pick the same row as the
+    # closed-form log-gamma terms, so ladder sizes (and verify) keep still
+    grid = itertools.product(
+        (1.001, 1.02, 1.1, 1.2, 1.25, 1.3, 1.5, 2.0, 2.3, 3.0),
+        (0, 1, 5, 14, 40), (0, 2), (0, 2, 13, 30), (1, 3, 14),
+    )
+    checked = 0
+    for k, a0, b0, t_max, n_cols in grid:
+        r = math.acosh(k)
+        want = _tms_length_gammaln(r, a0, b0, t_max, n_cols)
+        assert oracles._tms_length(r, a0, b0, t_max, n_cols) == want, (k, a0, b0, t_max, n_cols)
+        checked += 1
+    assert checked == 1200
+
+
 def test_high_gain_ladders_are_decomposed_once(monkeypatch):
     # a ladder that starts too short is decomposed again, so any retry at
     # this high gain shows in the count
@@ -363,6 +409,38 @@ def test_covariance_single_displacement():
 def test_case4_closed_form_agrees_with_quadrature():
     args = (0.7, 0.3, 1.4, 0.8)
     assert abs(case4_risk(*args) - case4_risk_quad(*args)) < 1e-8
+
+
+_ORACLE_IMPORTS_CHILD = """
+import json, sys
+from gauss_purify import oracles as o
+from gauss_purify.fock import thermal_state
+
+o.simulate_channel("att", 0.6, thermal_state(0.5, 10), o.AncillaCandidate.vacuum(), 12)
+o.ancilla_optimality_search("att", 0.6, 0.8, 0.4, max_level=2, samples=20)
+o.assemble_two_mode_unitary("amp", 1.15, 6)
+o.verify_covariance("att", 0.5, [0.8 + 0.2j], in_cutoff=20)
+o.check_stochastic_ordering("amp", 1.3, 0.5, kappa_max=3)
+o.verify_noise_topup(0.25, 0.5, samples=1000)
+lazy = ("scipy.special", "scipy.integrate")
+before = sorted(m for m in sys.modules if m.startswith(lazy))
+quad = o.case4_risk_quad(0.7, 0.3, 1.4, 0.8)
+print(json.dumps({"before": before, "integrate": "scipy.integrate" in sys.modules, "quad": quad}))
+"""
+
+
+def test_oracle_calls_leave_out_scipy_special_and_integrate():
+    # the oracle layer runs on numpy and scipy.linalg; scipy.integrate loads
+    # only with the quadratures, and scipy.special not at all
+    proc = subprocess.run(
+        [sys.executable, "-c", _ORACLE_IMPORTS_CHILD],
+        capture_output=True, text=True, check=True,
+    )
+    got = json.loads(proc.stdout)
+    assert got["before"] == []
+    assert got["integrate"] is True
+    # the quadrature still certifies its 1e-12 (it raises past it)
+    assert abs(got["quad"] - case4_risk(0.7, 0.3, 1.4, 0.8)) <= 1e-12
 
 
 def test_suite_registry():
