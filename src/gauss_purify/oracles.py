@@ -18,7 +18,6 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from . import risk as risk_mod
 from .channels import (
@@ -73,8 +72,9 @@ __all__ = [
 # is below this (the wavefront has not reached the wall)
 _EDGE_MASS = 1e-24
 _EDGE_ROWS = 16
-# longest squeezer ladder decomposed (its eigenvectors take 0.5 GB); longer
-# ones, at high gain or large photon numbers, are rejected up front
+# longest squeezer ladder decomposed (its two half-size singular-vector
+# matrices take about 0.27 GB); longer ones, at high gain or large photon
+# numbers, are rejected up front
 _MAX_LADDER = 1 << 13
 
 
@@ -97,27 +97,57 @@ class AncillaCandidate(DiagonalFockState):
 # two-mode generators and their evolution
 
 
+def _ladder_svd(offdiag: np.ndarray):
+    """SVD C = U diag(sigma) V^T of the even-odd block of a ladder generator.
+
+    The generator G (G[j+1, j] = offdiag[j] = -G[j, j+1]) has a zero
+    diagonal, so it couples only even to odd ladder rows: reordered evens
+    first, G = [[0, C], [-C^T, 0]] with C[i, i] = -offdiag[2i] and
+    C[i+1, i] = offdiag[2i+1], a bidiagonal ceil(L/2) x floor(L/2) block
+    (Golub & Kahan 1965).  U is square; for odd L its extra column has
+    sigma = 0, which `sigma` carries as a trailing zero.
+    """
+    length = len(offdiag) + 1
+    n_even, n_odd = (length + 1) // 2, length // 2
+    block = np.zeros((n_even, n_odd))
+    diag, below = np.arange(n_odd), np.arange(n_even - 1)
+    block[diag, diag] = -offdiag[0::2]
+    block[below + 1, below] = offdiag[1::2]
+    u, sigma, vt = np.linalg.svd(block)
+    return u, np.concatenate((sigma, np.zeros(n_even - n_odd))), vt.T
+
+
 def _ladder_evolve(offdiag: np.ndarray, r: float, cols) -> np.ndarray:
     """Columns `cols` of exp(r G) for the real antisymmetric tridiagonal G
     with G[j+1, j] = offdiag[j] = -G[j, j+1].
 
-    With D = diag(i^j), D^-1 G D = -i T where T is symmetric tridiagonal
-    with zero diagonal and off-diagonal `offdiag`.  Writing T = V diag(lam)
-    V^T gives exp(r G) = D V exp(-i r lam) V^T D^-1 exactly; entry (m, t)
-    is the cosine sum when m - t is even and the sine sum when it is odd,
-    signed by i^(m - t).  At r = 0 the result is exactly I[:, cols].
+    With G = [[0, C], [-C^T, 0]] on (even rows, odd rows) and C = U S V^T
+    (`_ladder_svd`), exp(r G) is exactly the four half-size blocks
+    [[U cos(rS) U^T, U sin(rS) V^T], [-V sin(rS) U^T, V cos(rS) V^T]]: an
+    even column reads a row of U, an odd one a row of V.  At r = 0 the
+    result is exactly I[:, cols].
     """
     length = len(offdiag) + 1
     cols = np.asarray(cols)
     if r == 0.0:
         return np.eye(length)[:, cols]
-    lam, vec = eigh_tridiagonal(np.zeros(length), offdiag)
-    right = vec[cols].T
-    cos_part = vec @ (np.cos(r * lam)[:, None] * right)
-    sin_part = vec @ (np.sin(r * lam)[:, None] * right)
-    shift = (np.arange(length)[:, None] - cols[None, :]) % 4
-    sign = np.where(shift < 2, 1.0, -1.0)
-    return sign * np.where(shift % 2 == 0, cos_part, sin_part)
+    u, sigma, v = _ladder_svd(offdiag)
+    n_odd = v.shape[0]
+    cos, sin = np.cos(r * sigma), np.sin(r * sigma)
+    even = cols % 2 == 0
+    # each column in the singular bases, x for the even rows and y for the
+    # odd ones: column 2l reads row l of U, column 2l+1 row l of V
+    u_rows, v_rows = u[cols[even] // 2].T, v[cols[~even] // 2].T
+    x = np.zeros((len(sigma), len(cols)))
+    y = np.empty((n_odd, len(cols)))
+    x[:, even] = cos[:, None] * u_rows
+    y[:, even] = -sin[:n_odd, None] * u_rows[:n_odd]
+    x[:n_odd, ~even] = sin[:n_odd, None] * v_rows
+    y[:, ~even] = cos[:n_odd, None] * v_rows
+    out = np.empty((length, len(cols)))
+    out[0::2] = u @ x
+    out[1::2] = v @ y
+    return out
 
 
 def _bs_block(theta: float, total: int) -> np.ndarray:
@@ -125,9 +155,10 @@ def _bs_block(theta: float, total: int) -> np.ndarray:
 
     The generator theta (a^dag b - a b^dag) is real antisymmetric and
     tridiagonal on the block (a b^dag |total-j, j> = sqrt((total-j)(j+1))
-    |total-j-1, j+1>), so `_ladder_evolve` exponentiates it exactly and the
-    block is orthogonal to rounding.  One decomposition per call; nothing
-    is kept between calls.
+    |total-j-1, j+1>), so `_ladder_evolve` exponentiates it exactly, from
+    one SVD of its half-size even-odd block, and the block is orthogonal
+    to rounding.  One decomposition per call; nothing is kept between
+    calls.
     """
     j = np.arange(total)
     offdiag = -np.sqrt((total - j) * (j + 1.0))
@@ -146,8 +177,10 @@ def _tms_length(r: float, a0: int, b0: int, t_max: int, n_cols: int) -> int:
     starts at the first row past the law's mode where the bound, summed
     over the remaining geometric tail and over the columns, is below
     `_EDGE_MASS`; the edge test in `_tms_columns` certifies the result.
-    The scan stops past `_MAX_LADDER` rows and then returns a length
-    beyond it.
+    The scan's first window is sized from the law, twice its mean plus the
+    rows the tail takes to fall from the scale to `_EDGE_MASS` at ratio q,
+    so it usually is the only one.  The scan stops past `_MAX_LADDER` rows
+    and then returns a length beyond it.
     """
     if r == 0.0:
         return t_max + 1 + _EDGE_ROWS
@@ -157,7 +190,10 @@ def _tms_length(r: float, a0: int, b0: int, t_max: int, n_cols: int) -> int:
     n = a0 + b0 + 2 * t_max
     lgamma = math.lgamma
     log_scale = lgamma(n + 1) - lgamma(t_max + 1) - lgamma(n - t_max + 1) + math.log(n_cols)
-    start, span = 0, 64
+    # the law's mean (n + 1) q / (1 - q) = (n + 1) sinh^2 r, held finite
+    mean = (n + 1) * min(math.sinh(r), _MAX_LADDER) ** 2
+    reach = (log_scale - math.log(_EDGE_MASS)) / -log_q if log_q < 0.0 else math.inf
+    start, span = 0, int(min(2.0 * (mean + reach), _MAX_LADDER)) + 1
     while start <= _MAX_LADDER:
         t = np.arange(start, start + span, dtype=float)
         # successive pmf ratio; the law decreases past its mode, where ratio < 1
@@ -229,7 +265,7 @@ def _sectors(kind: str, k: float, needs: dict):
     rows past it carry less than `_EDGE_MASS` and read as zero; it may
     end before or after na = cutoff.  Sectors d and -d have the same
     generator (off-diagonal sqrt((|d|+j+1)(j+1))), so both are read from
-    one decomposition over the union of their indices.
+    one decomposition (`_ladder_svd`) over the union of their indices.
     """
     if kind == ATTENUATE:
         theta = math.acos(k)

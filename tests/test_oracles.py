@@ -166,14 +166,15 @@ def test_ladder_index_inverts_the_sector_map(kind, k, sectors):
 
 
 def _count_decompositions(monkeypatch) -> list:
+    # records the ladder length of every decomposition
     calls = []
-    real = oracles.eigh_tridiagonal
+    real = oracles._ladder_svd
 
-    def counting(*args, **kwargs):
-        calls.append(len(args[0]))
-        return real(*args, **kwargs)
+    def counting(offdiag):
+        calls.append(len(offdiag) + 1)
+        return real(offdiag)
 
-    monkeypatch.setattr(oracles, "eigh_tridiagonal", counting)
+    monkeypatch.setattr(oracles, "_ladder_svd", counting)
     return calls
 
 
@@ -191,6 +192,46 @@ def test_one_decomposition_per_ladder_per_call(monkeypatch):
     cutoff = 13
     assemble_two_mode_unitary(AMPLIFY, 1.025, cutoff)
     assert len(calls) == cutoff + 1
+
+
+def _ladder_evolve_eigh(offdiag: np.ndarray, r: float, cols: list[int]) -> np.ndarray:
+    """Columns of exp(r G) from the full tridiagonal eigendecomposition.
+
+    With D = diag(i^j), D^-1 G D = -i T for the zero-diagonal symmetric
+    tridiagonal T; T = V diag(lam) V^T gives entry (m, t) as the cosine
+    sum when m - t is even and the sine sum when it is odd, signed by
+    i^(m - t).
+    """
+    from scipy.linalg import eigh_tridiagonal
+
+    length = len(offdiag) + 1
+    cols = np.asarray(cols)
+    lam, vec = eigh_tridiagonal(np.zeros(length), offdiag)
+    right = vec[cols].T
+    cos_part = vec @ (np.cos(r * lam)[:, None] * right)
+    sin_part = vec @ (np.sin(r * lam)[:, None] * right)
+    shift = (np.arange(length)[:, None] - cols[None, :]) % 4
+    return np.where(shift < 2, 1.0, -1.0) * np.where(shift % 2 == 0, cos_part, sin_part)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 100, 101, 800, 801])
+@pytest.mark.parametrize("generator", ["beamsplitter", "squeezer"])
+def test_half_size_svd_matches_the_tridiagonal_eigendecomposition(generator, length):
+    # both generators evolved by r = acosh(2.3); the beamsplitter block is
+    # read whole, as `_bs_block` reads it, and the squeezer ladder at the
+    # low even and odd columns the oracles read (its far columns carry the
+    # ~1e-13 phase error that eigenvalues near 800 give both routes alike)
+    r = math.acosh(2.3)
+    j = np.arange(length - 1)
+    if generator == "beamsplitter":
+        offdiag = -np.sqrt((length - 1 - j) * (j + 1.0))
+        cols = list(range(length))
+    else:
+        offdiag = np.sqrt((3 + j + 1.0) * (j + 1.0))
+        cols = list(range(min(length, 4)))
+    got = oracles._ladder_evolve(offdiag, r, cols)
+    assert np.max(np.abs(got - _ladder_evolve_eigh(offdiag, r, cols))) <= 1e-13
+    assert np.max(np.abs(got.T @ got - np.eye(len(cols)))) <= 1e-13
 
 
 def _edge_passes(r: float, a0: int, cols: list[int], length: int) -> bool:
@@ -271,7 +312,7 @@ def test_high_gain_ladders_are_decomposed_once(monkeypatch):
 
 
 def test_squeezer_ladder_past_the_row_cap_is_rejected_fast(monkeypatch):
-    # k = 50 would need a 137,000-row ladder (150 GB of eigenvectors)
+    # k = 50 would need a 137,000-row ladder (75 GB of singular vectors)
     calls = _count_decompositions(monkeypatch)
     start = time.perf_counter()
     with pytest.raises(ValueError, match="^k must keep each squeezer ladder"):
@@ -422,16 +463,15 @@ o.assemble_two_mode_unitary("amp", 1.15, 6)
 o.verify_covariance("att", 0.5, [0.8 + 0.2j], in_cutoff=20)
 o.check_stochastic_ordering("amp", 1.3, 0.5, kappa_max=3)
 o.verify_noise_topup(0.25, 0.5, samples=1000)
-lazy = ("scipy.special", "scipy.integrate")
-before = sorted(m for m in sys.modules if m.startswith(lazy))
+before = sorted(m for m in sys.modules if m.startswith("scipy"))
 quad = o.case4_risk_quad(0.7, 0.3, 1.4, 0.8)
 print(json.dumps({"before": before, "integrate": "scipy.integrate" in sys.modules, "quad": quad}))
 """
 
 
-def test_oracle_calls_leave_out_scipy_special_and_integrate():
-    # the oracle layer runs on numpy and scipy.linalg; scipy.integrate loads
-    # only with the quadratures, and scipy.special not at all
+def test_oracle_calls_load_no_scipy_before_a_quadrature():
+    # the oracle layer runs on numpy alone; scipy.integrate loads only
+    # with the quadratures
     proc = subprocess.run(
         [sys.executable, "-c", _ORACLE_IMPORTS_CHILD],
         capture_output=True, text=True, check=True,
