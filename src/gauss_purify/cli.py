@@ -194,8 +194,8 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
-    # only verify loads the oracle layer, and numpy and scipy with it; the
-    # other subcommands run on the standard library
+    # only verify loads the oracle layer, and numpy with it; the other
+    # subcommands run on the standard library
     from .oracles import run_verification_suite
 
     # opened before the suite, so an unwritable path fails before the checks

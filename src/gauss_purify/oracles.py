@@ -617,14 +617,38 @@ class TopupReport(_Report):
         return self.exact_max_err <= 1e-10 and self.mc_l1_err <= self.mc_tol
 
 
-def _block_rows(cutoff: int) -> int:
-    """Displacements per photon-law block: at most 2^21 floats (16 MB), and
-    20,000 rows, the Monte-Carlo branch's old block, up to cutoff = 103."""
-    return max(1, min(20_000, (1 << 21) // (cutoff + 1)))
+def _block_rows(width: int) -> int:
+    """Rows per block of `width` entries each: at most 2^21 floats (16 MB),
+    and 20,000 rows, the Monte-Carlo branch's old block, up to width 104."""
+    return max(1, min(20_000, (1 << 21) // width))
+
+
+# 8-point Gauss-Legendre nodes and weights: every oracle integral's panel rule
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_REFINE_LEVELS = 6
+
+
+def _panel_nodes(lo, width, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of `panels` Gauss-Legendre panels of `width` from `lo`, on a last axis."""
+    x = width * np.repeat(np.arange(panels), 8) + 0.5 * width * np.tile(_GL_NODES + 1.0, panels)
+    return x + lo, 0.5 * width * np.tile(_GL_WEIGHTS, panels)
+
+
+def _refine(rule, tol: float, norm) -> tuple[np.ndarray, float]:
+    """rule(0), rule(1), ... (level j halves the panel width j times) until the gap
+    `norm`(|rule(j) - rule(j - 1)|) is within `tol`, at most `_REFINE_LEVELS` times over;
+    returns the finer result and its gap, which bounds its error while the rule converges."""
+    fine = rule(0)
+    for level in range(1, _REFINE_LEVELS + 1):
+        coarse, fine = fine, rule(level)
+        gap = float(norm(np.abs(fine - coarse)))
+        if gap <= tol:
+            break
+    return fine, gap
 
 
 def _topup_rule(s_tilde: float, v: float, cutoff: int, h: float) -> np.ndarray:
-    """Exact top-up law on 8-point Gauss-Legendre panels of width h in t.
+    """Exact top-up law on Gauss-Legendre panels of width h in t.
 
     With |alpha|^2 = t^2 the weight is (2t / v) exp(-t^2 / v), and the law
     of photon number m peaks near t = sqrt(m) with a width that does not
@@ -632,11 +656,9 @@ def _topup_rule(s_tilde: float, v: float, cutoff: int, h: float) -> np.ndarray:
     t = sqrt(v ln 1e18): the weight past it has mass 1e-18, and the law
     is at most 1.
     """
-    x, w = np.polynomial.legendre.leggauss(8)
-    panels = math.ceil(math.sqrt(v * math.log(1e18)) / h)
-    t = (h * np.arange(panels)[:, None] + 0.5 * h * (x + 1.0)).ravel()
-    weight = np.tile(0.5 * h * w, panels) * (2.0 * t / v) * np.exp(-t * t / v)
-    step = _block_rows(cutoff)
+    t, weight = _panel_nodes(0.0, h, math.ceil(math.sqrt(v * math.log(1e18)) / h))
+    weight = weight * (2.0 * t / v) * np.exp(-t * t / v)
+    step = _block_rows(cutoff + 1)
     return sum(
         weight[i : i + step] @ _displaced_thermal_pmf(s_tilde, t[i : i + step] ** 2, cutoff)
         for i in range(0, t.size, step)
@@ -649,10 +671,11 @@ def verify_noise_topup(
     """Check that displacement noise of variance v fills thermal(s~) to thermal(s2).
 
     Exact branch: average the displaced-thermal photon law over the
-    exponential law of |alpha|^2 = t^2 (mean v) with the fixed panel rule
-    of `_topup_rule` in t, and compare to thermal(s2) at 1e-10.  The
-    rule's error is estimated against the rule at half the panel width:
-    h starts at min(1, sqrt(v)), the width of the weight, and halves (at
+    exponential law of |alpha|^2 = t^2 (mean v) with the panel rule of
+    `_topup_rule` in t, and compare to thermal(s2) at 1e-10.  The rule's
+    error is estimated against the rule at half the panel width
+    (`_refine`, the loop the case-4 and classical quadratures share): h
+    starts at min(1, sqrt(v)), the width of the weight, and halves (at
     most six times) until the two agree to 1e-13 in every photon number;
     the finer result is compared.  Monte-Carlo branch: average the photon
     law over sampled displacements; the L1 gap must stay within
@@ -670,22 +693,15 @@ def verify_noise_topup(
         return TopupReport(s_tilde, s2, v, err, err, 3.0 / math.sqrt(samples), samples)
 
     h = min(1.0, math.sqrt(v))
-    mixed = _topup_rule(s_tilde, v, cutoff, h)
-    for _ in range(6):
-        h /= 2.0
-        coarse, mixed = mixed, _topup_rule(s_tilde, v, cutoff, h)
-        if float(np.max(np.abs(mixed - coarse))) <= 1e-13:
-            break
+    mixed, _ = _refine(lambda level: _topup_rule(s_tilde, v, cutoff, h / 2**level), 1e-13, np.max)
     exact_err = float(np.max(np.abs(mixed - target)))
 
     rng = np.random.default_rng([seed, 11])
     acc = np.zeros(cutoff + 1)
-    remaining = samples
-    while remaining > 0:
-        chunk = min(remaining, _block_rows(cutoff))
-        u = rng.exponential(v, size=chunk)
+    step = _block_rows(cutoff + 1)
+    for i in range(0, samples, step):
+        u = rng.exponential(v, size=min(step, samples - i))
         acc += _displaced_thermal_pmf(s_tilde, u, cutoff).sum(axis=0)
-        remaining -= chunk
     mc = acc / samples
     mc_err = float(np.sum(np.abs(mc - target)))
     return TopupReport(
@@ -772,83 +788,79 @@ def verify_covariance(
 _TAIL_SIGMAS = 8.0
 # absolute error case4_risk_quad certifies, quadrature estimates and tail
 _QUAD_TOL = 1e-12
+# most photon-number terms case4_risk_quad sums; longer series are rejected
+_MAX_TERMS = 1 << 18
+# panels a side of a row's density crossing at the first level
+_ABS_DIFF_PANELS = 4
 
 
-def _abs_diff_quad(
-    c1: float, sig1: float, c2: float, sig2: float, L: float, epsabs: float
-) -> tuple[float, float]:
-    """Adaptive quadrature of |c1 N(0,sig1^2) - c2 N(0,sig2^2)| over the line.
+def _abs_diff_rule(c1, sig1, c2, sig2, length) -> tuple[np.ndarray, float]:
+    """Integral of |c1 N(0,sig1^2) - c2 N(0,sig2^2)| over [-length, length], per row.
 
-    The integrand is even, so integrate [0, L] and double.  The density
-    crossover is handed to quad as a known kink.  Returns (value, error
-    estimate).
+    The arguments broadcast over rows; the even integrand is integrated
+    over [0, length] and doubled.  Each row is split where its densities
+    cross (at length / 2 where they do not cross inside), so the
+    integrand is analytic on each side and Gauss-Legendre panels converge
+    exponentially.  `_ABS_DIFF_PANELS` panels a side, doubled (`_refine`)
+    until the rows' summed gap is within _QUAD_TOL / 4 of their weight
+    sum(c1 + c2).  Returns (values, that gap).
     """
-    # imported on first use: only case4_risk_quad and the classical
-    # quadrature check integrate, so the rest of the layer loads without it
-    from scipy.integrate import quad
+    # rows on the first axis, then the two sides, then the nodes
+    args = np.broadcast_arrays(c1, sig1, c2, sig2, length)
+    c1, sig1, c2, sig2, length = (a[..., None, None] for a in args)
+    # squared crossing; nan or inf where a weight is zero or sig1 = sig2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross2 = 2.0 * (sig1 * sig2) ** 2 * np.log(c2 * sig1 / (c1 * sig2)) / (sig1**2 - sig2**2)
+        inside = (cross2 > 0.0) & (cross2 < length * length)
+        split = np.where(inside, np.sqrt(np.where(inside, cross2, 0.0)), 0.5 * length)
+    lo = np.concatenate((np.zeros_like(split), split), axis=-2)
+    width = np.concatenate((split, length - split), axis=-2)
 
-    a1 = c1 / (math.sqrt(2.0 * math.pi) * sig1)
-    a2 = c2 / (math.sqrt(2.0 * math.pi) * sig2)
-    inv1 = 0.5 / (sig1 * sig1)
-    inv2 = 0.5 / (sig2 * sig2)
+    def rule(level: int) -> np.ndarray:
+        panels = _ABS_DIFF_PANELS << level
+        x, w = _panel_nodes(lo, width / panels, panels)
+        g1 = c1 / sig1 * np.exp(-0.5 * (x / sig1) ** 2)
+        g2 = c2 / sig2 * np.exp(-0.5 * (x / sig2) ** 2)
+        return math.sqrt(2.0 / math.pi) * np.sum(w * np.abs(g1 - g2), axis=(-2, -1))
 
-    def f(x: float) -> float:
-        xx = x * x
-        return abs(a1 * math.exp(-inv1 * xx) - a2 * math.exp(-inv2 * xx))
-
-    points = None
-    if c1 > 0.0 and c2 > 0.0 and sig1 != sig2:
-        x2 = (
-            2.0
-            * sig1 * sig1 * sig2 * sig2
-            * math.log(c2 * sig1 / (c1 * sig2))
-            / (sig1 * sig1 - sig2 * sig2)
-        )
-        if x2 > 0.0:
-            xs = math.sqrt(x2)
-            if 0.0 < xs < L:
-                points = [xs]
-    # pin epsrel, else quad stops at its default relative criterion and
-    # reports ~1e-8 |I| error estimates that swamp the term budget
-    val, err = quad(f, 0.0, L, points=points, epsabs=0.5 * epsabs, epsrel=1e-12, limit=200)
-    return 2.0 * val, 2.0 * err
+    return _refine(rule, 0.25 * _QUAD_TOL * float(np.sum(c1 + c2)), np.sum)
 
 
 def case4_risk_quad(s_t: float, s2: float, var1: float, var2: float) -> float:
-    """Joint product-law L1 distance by adaptive quadrature per photon number.
+    """Joint product-law L1 distance by a panel quadrature per photon number.
 
     Independent of risk.case4_risk's closed-form terms: each term
-    |A_n N(0,var1) - B_n N(0,var2)| is integrated numerically, with an
-    error request proportional to the term's mass (the requests sum to
-    less than _QUAD_TOL / 2).  The series stops once the geometric tails
-    s_t^(n+1) + s2^(n+1) fall below _QUAD_TOL / 4.  Raises RuntimeError
-    if the summed error estimates and tail exceed _QUAD_TOL.
+    |A_n N(0,var1) - B_n N(0,var2)| is integrated by `_abs_diff_rule` over
+    +-8 standard deviations, in blocks of at most 2^21 nodes.  The series
+    stops once s_t^n and s2^n are within _QUAD_TOL / 16.  Error contract:
+    the blocks' summed gaps (at most _QUAD_TOL / 2), the Gaussian mass
+    outside the window and the dropped tail stay within _QUAD_TOL, else
+    RuntimeError.  ValueError naming s_t and s2, before any integration,
+    when the series needs more than `_MAX_TERMS` terms.
     """
     check_thermal("s_t", s_t)
     check_thermal("s2", s2)
     check_positive("var1", var1)
     check_positive("var2", var2)
-    sig1, sig2 = math.sqrt(var1), math.sqrt(var2)
-    L = _TAIL_SIGMAS * max(sig1, sig2)
-    total = 0.0
-    err_quad = 0.0
-    n = 0
-    while True:
-        A = (1.0 - s_t) * s_t**n
-        B = (1.0 - s2) * s2**n
-        eps_n = min(_QUAD_TOL * 1e-4, max(0.25 * _QUAD_TOL * (A + B), 1e-15))
-        val, err = _abs_diff_quad(A, sig1, B, sig2, L, eps_n)
-        total += val
-        err_quad += err
-        tail = s_t ** (n + 1) + s2 ** (n + 1)
-        if tail < 0.25 * _QUAD_TOL:
-            break
-        n += 1
-    if err_quad + tail > _QUAD_TOL:
-        raise RuntimeError(
-            f"quadrature error {err_quad + tail:.3e} exceeds requested {_QUAD_TOL:.3e}"
+    terms = math.ceil(math.log(_QUAD_TOL / 16) / math.log(max(s_t, s2, _QUAD_TOL / 16)))
+    if terms > _MAX_TERMS:
+        raise ValueError(
+            f"s_t and s2 must keep the case-4 series within {_MAX_TERMS} terms; "
+            f"s_t = {s_t!r}, s2 = {s2!r} need {terms}"
         )
-    return min(total, 2.0)
+    sig1, sig2 = math.sqrt(var1), math.sqrt(var2)
+    length = _TAIL_SIGMAS * max(sig1, sig2)
+    A, B = ((1.0 - s) * s ** np.arange(terms) for s in (s_t, s2))
+    step = _block_rows(16 * (_ABS_DIFF_PANELS << _REFINE_LEVELS))
+    blocks = [
+        _abs_diff_rule(A[i : i + step], sig1, B[i : i + step], sig2, length)
+        for i in range(0, terms, step)
+    ]
+    window = math.erfc(_TAIL_SIGMAS / math.sqrt(2.0)) * float(np.sum(A + B))
+    err = sum(gap for _, gap in blocks) + window + s_t**terms + s2**terms
+    if err > _QUAD_TOL:
+        raise RuntimeError(f"quadrature error {err:.3e} exceeds requested {_QUAD_TOL:.3e}")
+    return min(sum(float(np.sum(vals)) for vals, _ in blocks), 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1125,21 +1137,9 @@ def _check_noise_topup(rng: np.random.Generator, fast: bool) -> dict:
         verify_noise_topup(0.0, 0.5, samples=samples),
         verify_noise_topup(0.3, 0.3, samples=samples),
     ]
-    ok = all(r.ok for r in reps)
-    return _report(
-        ok,
-        cases=[
-            {
-                "s_tilde": r.s_tilde,
-                "s2": r.s2,
-                "v": r.v,
-                "exact_max_err": r.exact_max_err,
-                "mc_l1_err": r.mc_l1_err,
-                "mc_tol": r.mc_tol,
-            }
-            for r in reps
-        ],
-    )
+    # every report field but the sample count, which the suite sets
+    cases = [{key: val for key, val in asdict(r).items() if key != "samples"} for r in reps]
+    return _report(all(r.ok for r in reps), cases=cases)
 
 
 def _check_displacement_covariance(rng: np.random.Generator, fast: bool) -> dict:
@@ -1209,18 +1209,18 @@ def _check_quantum_monotonicity(rng: np.random.Generator, fast: bool) -> dict:
 
 def _check_classical_quadrature(rng: np.random.Generator, fast: bool) -> dict:
     count = 100 if fast else 1000
-    worst = 0.0
-    for _ in range(count):
+    closed, sa, sb = np.empty(count), np.empty(count), np.empty(count)
+    for i in range(count):
         V1 = float(rng.uniform(0.1, 3.0))
         V2 = float(rng.uniform(0.1, 3.0))
         k0 = math.sqrt(V2 / V1)
         k = float(k0 * rng.uniform(1.01, 2.5))
-        closed = risk_mod.classical_minimax_risk(V1, V2, k)
-        sa, sb = math.sqrt(k * k * V1), math.sqrt(V2)
-        # the density crossing only tells quad where to subdivide, so the
-        # value does not lean on the closed form
-        val, _ = _abs_diff_quad(1.0, sa, 1.0, sb, 10.0 * max(sa, sb), 1e-11)
-        worst = max(worst, abs(closed - val))
+        closed[i] = risk_mod.classical_minimax_risk(V1, V2, k)
+        sa[i], sb[i] = math.sqrt(k * k * V1), math.sqrt(V2)
+    # the density crossing only tells the rule where to split, so the
+    # values do not lean on the closed form; one call serves every draw
+    vals, _ = _abs_diff_rule(1.0, sa, 1.0, sb, 10.0 * np.maximum(sa, sb))
+    worst = float(np.max(np.abs(closed - vals)))
     worked = abs(risk_mod.classical_minimax_risk(1.0, 1.0, math.sqrt(2.0)) - 0.33205)
     ok = worst <= 1e-8 and worked <= 1e-4
     return _report(ok, draws=count, worst_err=worst, worked_point_err=worked)

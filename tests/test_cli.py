@@ -173,10 +173,21 @@ def test_risk_rejects_unphysical_scenario():
         # the case-4 series has no tolerance to set
         (("risk", "--gaussian", "--s1", "0.5", "--s2", "0.3", "--k", "0.5", "--abs-tol", "1e-6"),
          "unrecognized arguments: --abs-tol"),
+        (("risk", "--qubit", "--r0", "0.5", "--lambda", "0.5"), "--qubit requires --k or --rate"),
+        (("sweep", "--target", "custom", "--output", "OUT", "--fix", "r0"),
+         "bad --fix 'r0', expected NAME=VALUE"),
+        (("sweep", "--target", "custom", "--output", "OUT", "--range", "k=0.1:2"),
+         "bad --range k='0.1:2', expected START:STOP:STEPS"),
+        (("sweep", "--config", "LIST"), "config file must hold a JSON object"),
+        (("sweep", "--output", "OUT"), "no sweep target"),
+        (("sweep", "--target", "fig2a"), "no output path"),
     ],
 )
-def test_flag_the_form_does_not_read_fails(args, message):
-    proc = run_cli(*args, check=False)
+def test_flag_the_form_does_not_read_fails(tmp_path, args, message):
+    # OUT stands for an output path and LIST for a config file holding a list
+    (tmp_path / "list.json").write_text("[]")
+    paths = {"OUT": str(tmp_path / "out.csv"), "LIST": str(tmp_path / "list.json")}
+    proc = run_cli(*(paths.get(arg, arg) for arg in args), check=False)
     assert proc.returncode == 2
     assert message in proc.stderr
 

@@ -7,6 +7,7 @@ so defects localize quickly.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -452,6 +453,87 @@ def test_case4_closed_form_agrees_with_quadrature():
     assert abs(case4_risk(*args) - case4_risk_quad(*args)) < 1e-8
 
 
+def test_case4_quadrature_answers_every_series_the_old_loop_did():
+    # about 148,000 terms, inside the 2^18 cap
+    args = (0.9998, 0.9996, 1.5, 1.0)
+    assert abs(case4_risk_quad(*args) - case4_risk(*args)) <= 1e-12
+
+
+@pytest.mark.parametrize("s_t, s2", [(0.9999, 0.9998), (1.0 - 1e-9, 0.5)])
+def test_case4_quadrature_rejects_long_series_fast(s_t, s2):
+    # about 3.0e5 and 3.0e10 terms, past the 2^18 cap: no integration runs
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="s_t and s2"):
+        case4_risk_quad(s_t, s2, 1.5, 1.0)
+    assert time.perf_counter() - start < 0.1
+
+
+def _abs_diff_quad(c1, sig1, c2, sig2, length):
+    """Reference: scipy's adaptive quadrature, the density crossing as a kink."""
+    from scipy.integrate import quad
+
+    a1 = c1 / (math.sqrt(2.0 * math.pi) * sig1)
+    a2 = c2 / (math.sqrt(2.0 * math.pi) * sig2)
+
+    def f(x):
+        return abs(a1 * math.exp(-0.5 * x * x / sig1**2) - a2 * math.exp(-0.5 * x * x / sig2**2))
+
+    points = None
+    if c1 > 0.0 and c2 > 0.0 and sig1 != sig2:
+        cross2 = 2.0 * (sig1 * sig2) ** 2 * math.log(c2 * sig1 / (c1 * sig2)) / (sig1**2 - sig2**2)
+        if 0.0 < cross2 < length * length:
+            points = [math.sqrt(cross2)]
+    return 2.0 * quad(f, 0.0, length, points=points, epsabs=1e-16, epsrel=1e-13, limit=200)[0]
+
+
+def _rule_rows(monkeypatch):
+    """Record the rows of every `_abs_diff_rule` call, with its answers."""
+    calls = []
+    rule = oracles._abs_diff_rule
+
+    def spy(*args):
+        out = rule(*args)
+        calls.append((np.broadcast_arrays(*args), out[0]))
+        return out
+
+    monkeypatch.setattr(oracles, "_abs_diff_rule", spy)
+    return calls
+
+
+def _assert_rows_match_quad(calls):
+    for args, got in calls:
+        want = [_abs_diff_quad(*row) for row in zip(*args)]
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def _case4_points():
+    # the four `case4_bounds` points on the fig-6 curves, and one near s = 1
+    fig6a, fig6b, fig6c = risk_mod.FIG6_SCENARIOS
+    for (_, r0, lam, _), k in ((fig6a, 0.8), (fig6a, 0.95), (fig6b, 1.9), (fig6c, 2.0)):
+        sc = risk_mod.QubitScenario(r0, lam, k=k)
+        yield risk_mod.combined_risk(sc).s_tilde, sc.s2, k * k * sc.V1, sc.V2
+    yield 0.99, 0.98, 1.5, 1.0
+
+
+@pytest.mark.parametrize("args", list(_case4_points()))
+def test_abs_diff_rule_matches_quad_per_photon_number(monkeypatch, args):
+    # every term case4_risk_quad sums, each against its own quad call
+    calls = _rule_rows(monkeypatch)
+    case4_risk_quad(*args)
+    assert sum(got.size for _, got in calls) > 30
+    _assert_rows_match_quad(calls)
+
+
+@pytest.mark.parametrize("suite", ["fast", "full"])
+def test_abs_diff_rule_matches_quad_on_the_classical_draws(monkeypatch, suite):
+    # the draws of the suite's `classical_quadrature` check, one call
+    calls = _rule_rows(monkeypatch)
+    rng = np.random.default_rng([oracles.DEFAULT_SEED, SUITE_NAMES.index("classical_quadrature")])
+    assert oracles._check_classical_quadrature(rng, suite == "fast")["ok"]
+    assert [got.size for _, got in calls] == [100 if suite == "fast" else 1000]
+    _assert_rows_match_quad(calls)
+
+
 _ORACLE_IMPORTS_CHILD = """
 import json, sys
 from gauss_purify import oracles as o
@@ -463,24 +545,44 @@ o.assemble_two_mode_unitary("amp", 1.15, 6)
 o.verify_covariance("att", 0.5, [0.8 + 0.2j], in_cutoff=20)
 o.check_stochastic_ordering("amp", 1.3, 0.5, kappa_max=3)
 o.verify_noise_topup(0.25, 0.5, samples=1000)
-before = sorted(m for m in sys.modules if m.startswith("scipy"))
 quad = o.case4_risk_quad(0.7, 0.3, 1.4, 0.8)
-print(json.dumps({"before": before, "integrate": "scipy.integrate" in sys.modules, "quad": quad}))
+passed = o.run_verification_suite("fast")["all_passed"]
+scipy_mods = sorted(m for m in sys.modules if m.startswith("scipy"))
+print(json.dumps({"scipy": scipy_mods, "quad": quad, "passed": passed}))
 """
 
 
-def test_oracle_calls_load_no_scipy_before_a_quadrature():
-    # the oracle layer runs on numpy alone; scipy.integrate loads only
-    # with the quadratures
+def test_oracle_layer_loads_no_scipy():
+    # the oracle layer, its quadratures and the whole suite run on numpy alone
     proc = subprocess.run(
         [sys.executable, "-c", _ORACLE_IMPORTS_CHILD],
         capture_output=True, text=True, check=True,
     )
     got = json.loads(proc.stdout)
-    assert got["before"] == []
-    assert got["integrate"] is True
+    assert got["scipy"] == []
+    assert got["passed"] is True
     # the quadrature still certifies its 1e-12 (it raises past it)
     assert abs(got["quad"] - case4_risk(0.7, 0.3, 1.4, 0.8)) <= 1e-12
+
+
+_REPORT_CALLS = {
+    "OrderingReport": lambda: check_stochastic_ordering("amp", 1.3, 0.5, kappa_max=3),
+    "OptimalityReport": lambda: ancilla_optimality_search("att", 0.6, 0.8, 0.4, 2, 20),
+    "TopupReport": lambda: verify_noise_topup(0.25, 0.5, samples=1000),
+    "CovarianceReport": lambda: verify_covariance("att", 0.5, [0.8 + 0.2j], in_cutoff=20),
+}
+
+
+@pytest.mark.parametrize("name", list(_REPORT_CALLS))
+def test_report_as_dict_lists_every_field_then_ok(name):
+    # perfbench prints as_dict() when a check fails
+    rep = _REPORT_CALLS[name]()
+    assert type(rep).__name__ == name
+    d = rep.as_dict()
+    fields = [f.name for f in dataclasses.fields(rep)]
+    assert list(d) == fields + ["ok"]
+    assert d["ok"] is rep.ok
+    assert json.loads(json.dumps(d)) == d
 
 
 def test_suite_registry():

@@ -466,6 +466,11 @@ def test_qubit_scenario_validation():
     assert abs(sc.k_value - 1.0) < 1e-15
 
 
+def test_combined_risk_needs_k_or_rate():
+    with pytest.raises(ValueError, match="neither k nor rate"):
+        combined_risk(QubitScenario(0.5, 0.5))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
 @pytest.mark.parametrize("name", ["V1", "V2", "k"])
 def test_gaussian_problem_rejects_nonfinite_or_nonpositive(name, bad):
