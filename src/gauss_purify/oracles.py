@@ -165,14 +165,14 @@ def _bs_block(theta: float, total: int) -> np.ndarray:
     return _ladder_evolve(offdiag, theta, np.arange(total + 1))
 
 
-def _tms_length(r: float, a0: int, b0: int, t_max: int, n_cols: int) -> int:
+def _tms_length(r: float, a0: int, t_max: int, n_cols: int) -> int:
     """Squeezer ladder length whose last `_EDGE_ROWS` rows carry < `_EDGE_MASS`.
 
     Column t0 of the evolved ladder spreads over rows t0 + t like a
     negative binomial in t with ratio q = tanh^2 r = 1 - 1/k^2; for
-    t0 = 0 it is exactly NB_n(t) = C(n+t, t) q^t (1-q)^(n+1), n = a0+b0.
+    t0 = 0 it is exactly NB_n(t) = C(n+t, t) q^t (1-q)^(n+1), n = a0.
     For larger t0 the leading term of the tail is at most C(n, t0)
-    NB_n(t - t0) at n = a0 + b0 + 2 t0, so the rule takes the heaviest
+    NB_n(t - t0) at n = a0 + 2 t0, so the rule takes the heaviest
     column, t0 = t_max, with that factor as its bound.  The edge window
     starts at the first row past the law's mode where the bound, summed
     over the remaining geometric tail and over the columns, is below
@@ -187,7 +187,7 @@ def _tms_length(r: float, a0: int, b0: int, t_max: int, n_cols: int) -> int:
     # q and 1 - q = 1/k^2 in log form, finite up to the largest float k
     log_q, log_1q = 2.0 * math.log(math.tanh(r)), -2.0 * math.log(math.cosh(r))
     q = math.exp(log_q)
-    n = a0 + b0 + 2 * t_max
+    n = a0 + 2 * t_max
     lgamma = math.lgamma
     log_scale = lgamma(n + 1) - lgamma(t_max + 1) - lgamma(n - t_max + 1) + math.log(n_cols)
     # the law's mean (n + 1) q / (1 - q) = (n + 1) sinh^2 r, held finite
@@ -214,10 +214,10 @@ def _tms_length(r: float, a0: int, b0: int, t_max: int, n_cols: int) -> int:
     return t_max + start + _EDGE_ROWS
 
 
-def _tms_columns(r: float, a0: int, b0: int, col_indices: list[int]) -> np.ndarray:
-    """Evolved squeezer columns |a0+t, b0+t> -> ladder amplitudes.
+def _tms_columns(r: float, a0: int, col_indices) -> np.ndarray:
+    """Evolved squeezer columns |a0+t, t> -> ladder amplitudes.
 
-    The generator on the ladder span{|a0+j, b0+j>} is real antisymmetric
+    The generator on the ladder span{|a0+j, j>} is real antisymmetric
     tridiagonal and is exponentiated exactly by `_ladder_evolve`.  The
     ladder length comes from `_tms_length`, and the edge-mass test
     certifies it: the mass past the ladder is below `_EDGE_MASS`, so the
@@ -226,95 +226,72 @@ def _tms_columns(r: float, a0: int, b0: int, col_indices: list[int]) -> np.ndarr
     ladder would need more than `_MAX_LADDER` rows.
     """
     t_max = max(col_indices)
-    length = _tms_length(r, a0, b0, t_max, len(col_indices))
+    length = _tms_length(r, a0, t_max, len(col_indices))
     while length <= _MAX_LADDER:
         j = np.arange(length - 1)
-        offdiag = np.sqrt((a0 + j + 1.0) * (b0 + j + 1.0))
+        offdiag = np.sqrt((a0 + j + 1.0) * (j + 1.0))
         cols = _ladder_evolve(offdiag, r, col_indices)
         if float(np.sum(cols[-_EDGE_ROWS:, :] ** 2)) <= _EDGE_MASS:
             return cols
         length *= 2
     raise ValueError(
         f"k must keep each squeezer ladder within {_MAX_LADDER} rows; k = {math.cosh(r):.6g} "
-        f"needs {length} or more for |{a0}+t, {b0}+t>, t <= {t_max}"
+        f"needs {length} or more for |{a0}+t, t>, t <= {t_max}"
     )
 
 
-def _ladder_index(kind: str, na, nb):
-    """(sector, ladder index) of the joint state |na, nb>.
+def _ladders(kind: str, k: float, na: np.ndarray, nb: np.ndarray):
+    """Yield (sel, m, j, cols) for every ladder the joint states |na[i], nb[i]> sit on.
 
-    The beamsplitter conserves the total na + nb and its ladder runs
-    over nb; the squeezer conserves the difference na - nb and its
-    ladder runs over min(na, nb).
-    """
-    if kind == ATTENUATE:
-        return na + nb, nb
-    return na - nb, np.minimum(na, nb)
-
-
-def _sectors(kind: str, k: float, needs: dict):
-    """Yield (sector, na, nb, cols) for every sector in `needs`.
-
-    `needs[sector]` lists the ladder indices (see `_ladder_index`) whose
-    evolved states are wanted; cols holds them as columns, in that order,
-    with row i the amplitude of the ladder state |na[i], nb[i]>, so input
-    column c is the state at row needs[sector][c].  A beamsplitter ladder
-    is its whole conserved-total block.  A squeezer ladder |a0+t, b0+t>,
-    a0 = max(d, 0), b0 = max(-d, 0), is as long as its negative-binomial
+    sel holds the positions of the inputs the ladder serves, in order;
+    column c of cols is input sel[c] evolved, and row t of cols is the
+    amplitude of |m[t], j[t]>.  The beamsplitter conserves the total
+    na + nb, and its ladder is the whole block |total - t, t>.  The
+    squeezer conserves the difference d = na - nb, and its ladder
+    |max(d, 0) + t, max(-d, 0) + t> is as long as its negative-binomial
     tail bound says (`_tms_length`) and certified by its edge mass, so
     rows past it carry less than `_EDGE_MASS` and read as zero; it may
-    end before or after na = cutoff.  Sectors d and -d have the same
-    generator (off-diagonal sqrt((|d|+j+1)(j+1))), so both are read from
-    one decomposition (`_ladder_svd`) over the union of their indices.
+    end before or after a caller's cutoff.  Sectors d and -d have the
+    same generator (off-diagonal sqrt((|d|+t+1)(t+1))), so both are read
+    from one decomposition (`_ladder_svd`) over the union of their inputs.
     """
     if kind == ATTENUATE:
-        theta = math.acos(k)
-        for total in sorted(needs):
-            j = np.arange(total + 1)
-            yield total, total - j, j, _bs_block(theta, total)[:, needs[total]]
+        theta, total = math.acos(k), na + nb
+        for s in np.unique(total):
+            sel, t = np.flatnonzero(total == s), np.arange(s + 1)
+            yield sel, s - t, t, _bs_block(theta, int(s))[:, nb[sel]]
         return
-    r = math.acosh(k)
-    for a in sorted({abs(d) for d in needs}):
-        pair = [d for d in dict.fromkeys((a, -a)) if d in needs]
-        idx = sorted(set().union(*(needs[d] for d in pair)))
-        cols = _tms_columns(r, a, 0, idx)
+    r, d, index = math.acosh(k), na - nb, np.minimum(na, nb)
+    for a in np.unique(np.abs(d)):
+        idx = np.unique(index[np.abs(d) == a])
+        cols = _tms_columns(r, int(a), idx)
         t = np.arange(cols.shape[0])
-        for d in pair:
-            yield d, max(d, 0) + t, max(-d, 0) + t, cols[:, np.searchsorted(idx, needs[d])]
-
-
-def _sector_needs(kind: str, na: np.ndarray, nb: np.ndarray) -> tuple[dict, dict]:
-    """Group joint states |na, nb> by sector: (positions, ladder indices)."""
-    sector, index = _ladder_index(kind, na, nb)
-    members = {int(s): np.flatnonzero(sector == s) for s in np.unique(sector)}
-    return members, {s: index[sel] for s, sel in members.items()}
+        for sector in dict.fromkeys((a, -a)):
+            sel = np.flatnonzero(d == sector)
+            if sel.size:
+                yield sel, max(sector, 0) + t, max(-sector, 0) + t, cols[:, np.searchsorted(idx, index[sel])]
 
 
 def _channel_outputs(kind: str, k: float, probs: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """Output laws of every (input, ancilla) pair, one ladder per sector.
+    """Output laws of every (input, ancilla) pair, one pass over `_ladders`.
 
     probs (P, n_in+1) and taus (Q, k_anc+1) stack the input and ancilla
-    photon-number laws.  The outer loop runs over conserved sectors;
-    each ladder is decomposed once and every column any pair needs is
-    taken from it.  Returns the output laws (P, Q, rows) over every row
-    a ladder reaches; a squeezer ladder is certified by its edge mass,
-    so the rows past it carry less than `_EDGE_MASS`.
+    photon-number laws.  Returns the output laws (P, Q, rows) over every
+    row a ladder reaches.
     """
     P, Q = probs.shape[0], taus.shape[0]
     # every (n, kap) level pair with weight in some input and some ancilla
     live_n = np.flatnonzero(np.any(probs != 0.0, axis=0))
     live_kap = np.flatnonzero(np.any(taus != 0.0, axis=0))
     n, kap = np.repeat(live_n, live_kap.size), np.tile(live_kap, live_n.size)
-    members, needs = _sector_needs(kind, n, kap)
     parts = []
-    for sector, m_vals, _, cols in _sectors(kind, k, needs):
-        sel = members[sector]
+    for sel, m, _, cols in _ladders(kind, k, n, kap):
         # pair weights, one row per column and one entry per (input, ancilla)
         w = probs[:, n[sel]].T[:, :, None] * taus[:, kap[sel]].T[:, None, :]
-        parts.append((m_vals, (cols * cols) @ w.reshape(sel.size, P * Q)))
-    out = np.zeros((1 + max(int(m_vals.max()) for m_vals, _ in parts), P * Q))
-    for m_vals, mass in parts:
-        out[m_vals] += mass
+        parts.append((m, (cols * cols) @ w.reshape(sel.size, P * Q)))
+    out = np.zeros((1 + max(int(m.max()) for m, _ in parts), P * Q))
+    for m, mass in parts:
+        out[m] += mass
     return out.T.reshape(P, Q, -1)
 
 
@@ -329,12 +306,10 @@ def simulate_channel(
 
     Couples the (truncated) input to the ancilla with a beamsplitter
     rotation (attenuation, k = cos theta) or a two-mode squeezer
-    (amplification, k = cosh r), then traces out the ancilla mode.  Both
-    generators conserve a quantum number, so the evolution runs sector by
-    sector, one ladder decomposition each (mirrored squeezer sectors d
-    and -d share one).  The output holds photon numbers 0 .. `cutoff`;
-    its tail bound is the input's and the ancilla's plus the output mass
-    the ladders carry beyond `cutoff`.
+    (amplification, k = cosh r), evolved one conserved ladder at a time
+    (`_ladders`), then traces out the ancilla mode.  The output holds
+    photon numbers 0 .. `cutoff`; its tail bound is the input's and the
+    ancilla's plus the output mass the ladders carry beyond `cutoff`.
     """
     kind = normalize_kind(kind)
     k = check_k(kind, k, closed=True)
@@ -349,21 +324,19 @@ def simulate_channel(
 def _kraus_diagonals(kind: str, k: float, in_cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     """The one nonzero diagonal of each vacuum-ancilla Kraus operator B_j.
 
-    The dilation conserves a number, so B_j moves |n> only to m = n - j
-    (loss) or m = n + j (gain).  Returns (rows, amps) of shape (levels,
-    in_cutoff + 1) with B_j[rows[j, n], n] = amps[j, n], read from the
-    ladder of |n, 0> (its sector is n, and ladder row j is |m, j>);
-    entries no ladder reaches hold amplitude 0 and row 0.
+    B_j[m, n] is the amplitude of |m, j> in the evolved |n, 0>, and the
+    ladder of |n, 0> holds one row per j, so B_j moves |n> to that row's m
+    alone.  Returns (rows, amps) of shape (levels, in_cutoff + 1) with
+    B_j[rows[j, n], n] = amps[j, n]; entries no ladder reaches hold
+    amplitude 0 and row 0.
     """
     n = np.arange(in_cutoff + 1)
-    _, needs = _sector_needs(kind, n, np.zeros_like(n))
-    ladders = {sector: cols[:, 0] for sector, _, _, cols in _sectors(kind, k, needs)}
-    shape = (max(col.size for col in ladders.values()), n.size)
+    ladders = list(_ladders(kind, k, n, np.zeros_like(n)))
+    shape = (1 + max(int(j.max()) for _, _, j, _ in ladders), n.size)
     rows, amps = np.zeros(shape, dtype=int), np.zeros(shape)
-    sign = 1 if kind == AMPLIFY else -1
-    for src, col in ladders.items():
-        rows[: col.size, src] = src + sign * np.arange(col.size)
-        amps[: col.size, src] = col
+    for sel, m, j, cols in ladders:
+        rows[j[:, None], sel] = m[:, None]
+        amps[j[:, None], sel] = cols
     return rows, amps
 
 
@@ -389,14 +362,12 @@ def _kraus_sum(rows: np.ndarray, amps: np.ndarray, rho: np.ndarray) -> np.ndarra
 def kraus_operators(kind: str, k: float, in_cutoff: int) -> list[np.ndarray]:
     """Vacuum-ancilla Kraus operators B_j of the channel, from the unitary.
 
-    B_j[m, n] is the amplitude of |m, j> in the evolved |n, 0>, read from
-    the ladder of |n, 0> (the conserved-total block of the beamsplitter,
-    where B_j loses j photons, or the squeezer ladder at difference n,
-    where it gains them).  Rows m and levels j run over every state a
-    ladder reaches: m, j <= in_cutoff for attenuation; for amplification,
-    as far as the certified squeezer ladders go (entries past a ladder
-    carry less than `_EDGE_MASS` and are zero).  Each B_j is the dense
-    scatter of its one diagonal from `_kraus_diagonals`.
+    B_j[m, n] is the amplitude of |m, j> in the evolved |n, 0> (`_ladders`):
+    B_j loses j photons under attenuation and gains them under
+    amplification.  Rows m and levels j run over every state a ladder
+    reaches; entries past a certified squeezer ladder carry less than
+    `_EDGE_MASS` and are zero.  Each B_j is the dense scatter of its one
+    diagonal from `_kraus_diagonals`.
     """
     kind = normalize_kind(kind)
     k = check_k(kind, k, closed=True)
@@ -411,24 +382,22 @@ def kraus_operators(kind: str, k: float, in_cutoff: int) -> list[np.ndarray]:
 def assemble_two_mode_unitary(kind: str, k: float, cutoff: int) -> tuple[np.ndarray, float]:
     """Dense two-mode unitary restricted to n_a, n_b <= cutoff.
 
-    Entries come from fully converged conserved-sector evolutions, one
-    ladder decomposition per sector (mirrored squeezer sectors share
-    one), so the returned matrix is the restriction of the untruncated
-    unitary; the accompanying number is the largest column mass lost to
-    the restriction (exactly 0 for complete beamsplitter blocks).
+    Entries come from fully converged ladder evolutions (`_ladders`), so
+    the returned matrix is the restriction of the untruncated unitary;
+    the accompanying number is the largest column mass lost to the
+    restriction (exactly 0 for complete beamsplitter blocks).
     """
     kind = normalize_kind(kind)
     k = check_k(kind, k, closed=True)
     cutoff = check_count("cutoff", cutoff)
     size = cutoff + 1
-    _, needs = _sector_needs(kind, *np.divmod(np.arange(size * size), size))
     U = np.zeros((size * size, size * size))
     max_leak = 0.0
-    for sector, na, nb, cols in _sectors(kind, k, needs):
-        keep = (na <= cutoff) & (nb <= cutoff)
+    # input |na, nb> is column na * size + nb, its position in the divmod order
+    for sel, m, j, cols in _ladders(kind, k, *np.divmod(np.arange(size * size), size)):
+        keep = (m <= cutoff) & (j <= cutoff)
         block = cols[keep]
-        idx = needs[sector]
-        U[np.ix_(na[keep] * size + nb[keep], na[idx] * size + nb[idx])] = block
+        U[np.ix_(m[keep] * size + j[keep], sel)] = block
         max_leak = max(max_leak, 1.0 - float(np.min(np.sum(block * block, axis=0))))
     return U, max_leak
 
@@ -523,9 +492,9 @@ def ancilla_optimality_search(
     max_level) plus `samples` Dirichlet-uniform draws.  The channel is
     linear in the ancilla, so each candidate's output is the matching
     mixture of the pure-level outputs, which come from one pass over the
-    conserved sectors (one ladder decomposition each, shared by every
-    level); the risk is the L1 distance to the thermal target.  The
-    report's `ok` fails when a candidate beats the vacuum beyond rounding.
+    ladders (`_ladders`, one decomposition each, shared by every level);
+    the risk is the L1 distance to the thermal target.  The report's `ok`
+    fails when a candidate beats the vacuum beyond rounding.
     """
     kind = normalize_kind(kind)
     k = check_k(kind, k, closed=True)
@@ -1012,7 +981,7 @@ def _check_kernel_vs_unitary(rng: np.random.Generator, fast: bool) -> dict:
     inputs = np.stack([src.probs for src in srcs])
     worst = 0.0
     for k in ks:
-        # one pass over the sectors serves every s1 (vacuum ancilla)
+        # one pass over the ladders serves every s1 (vacuum ancilla)
         kind = kind_for_k(k)
         sims = _channel_outputs(kind, k, inputs, np.ones((1, 1)))[:, 0]
         for src, sim in zip(srcs, sims):
@@ -1021,7 +990,7 @@ def _check_kernel_vs_unitary(rng: np.random.Generator, fast: bool) -> dict:
             else:
                 kern = amplify_kernel(k, src, out_cutoff=cutoff).probs
             worst = max(worst, _max_gap(kern, sim))
-    return _report(worst <= 1e-8, max_entry_err=worst, cutoff=cutoff, k_grid=ks, s1_grid=s_vals)
+    return _report(worst <= 1e-12, max_entry_err=worst, cutoff=cutoff, k_grid=ks, s1_grid=s_vals)
 
 
 def _check_two_mode_unitarity(rng: np.random.Generator, fast: bool) -> dict:
@@ -1071,7 +1040,7 @@ def _check_diagonal_output(rng: np.random.Generator, fast: bool) -> dict:
         fast_path = simulate_channel(kind, k, src, anc, cutoff)
         upto = cutoff if kind == ATTENUATE else cutoff - anc.cutoff
         worst_gap = max(worst_gap, float(np.max(np.abs(diag[: upto + 1] - fast_path.probs[: upto + 1]))))
-    ok = worst_offdiag <= 1e-10 and worst_gap <= 1e-10
+    ok = worst_offdiag <= 1e-12 and worst_gap <= 1e-12
     return _report(ok, offdiagonal_mass=worst_offdiag, fast_path_gap=worst_gap)
 
 
