@@ -114,17 +114,41 @@ def attenuate_kernel(k: float, state: DiagonalFockState) -> DiagonalFockState:
     return DiagonalFockState(thinning_matrix(k, state.cutoff) @ state.probs, state.tail_bound)
 
 
-def _auto_out_cutoff(G: float, in_cutoff: int) -> int:
-    """Output cutoff keeping every amplifier column tail below _TAIL_TARGET.
+def _nb_tail_start(n: int, log_q: float, log_1q: float, log_scale: float, log_mass: float) -> int:
+    """First t where exp(log_scale) NB_n(t) / (1 - rho_t) < exp(log_mass) and rho_t < 1.
 
-    The column for input n is negative binomial with n + 1 successes at
-    rate 1/G: mean (n + 1)(G - 1), geometric decay ratio 1 - 1/G past
-    the bulk.  The enlargement below is a safe analytic overestimate;
-    the applied truncation is still measured afterwards.
+    NB_n(t) = C(n+t, t) q^t (1-q)^(n+1) is the law of an amplifier column
+    and of a squeezer ladder's spread; rho_t = q (n+t+1) / (t+1) is its
+    pmf ratio.  Past the mode (rho_t < 1) NB_n(t) / (1 - rho_t) bounds the
+    tail from t and falls with t, so doubling, then bisection, finds the
+    first such t.  When q rounds to 1 none exists: past 2^40 the search
+    stops and returns its last t.
     """
-    mean = (in_cutoff + 1) * (G - 1.0)
-    decay = -math.log(_TAIL_TARGET) / -math.log1p(-1.0 / G)
-    return int(in_cutoff + mean + 10.0 * math.sqrt(mean + 1.0) + decay + 64)
+    q, lgamma = math.exp(log_q), math.lgamma
+
+    def below(t: int) -> bool:
+        ratio = q * (n + t + 1.0) / (t + 1.0)
+        if ratio >= 1.0:
+            return False
+        log_nb = lgamma(n + t + 1.0) - lgamma(t + 1.0) - lgamma(n + 1.0)
+        return log_scale + log_nb + t * log_q + (n + 1) * log_1q - math.log1p(-ratio) < log_mass
+
+    lo, hi = -1, 0
+    while not below(hi):
+        if hi > 1 << 40:
+            return hi
+        lo, hi = hi, 2 * hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if below(mid) else (mid, hi)
+    return hi
+
+
+def _auto_out_cutoff(G: float, in_cutoff: int) -> int:
+    """Output cutoff leaving each amplifier column, n + NB_n at rate 1/G, under _TAIL_TARGET."""
+    return in_cutoff + _nb_tail_start(
+        in_cutoff, math.log1p(-1.0 / G), -math.log(G), 0.0, math.log(_TAIL_TARGET)
+    )
 
 
 def amplify_kernel(
@@ -132,23 +156,19 @@ def amplify_kernel(
 ) -> DiagonalFockState:
     """Apply the vacuum-ancilla parametric-amplifier channel.
 
-    The output cutoff is auto-enlarged until the kernel truncation adds
-    at most _TAIL_TARGET of omitted mass on top of the input's own tail
-    bound; pass ``out_cutoff`` to pin the support instead (the omitted
-    mass is then whatever the truncation measures).
+    By default the output cutoff is certified by `_nb_tail_start`: every
+    kernel column omits at most _TAIL_TARGET.  Pass ``out_cutoff`` to pin
+    the support instead.  Either way the output's tail bound adds the
+    measured truncation, the input's norm minus the output's, to the
+    input's own tail bound.
     """
     k = check_k(AMPLIFY, k)
-    fixed_cutoff = out_cutoff is not None
-    if not fixed_cutoff:
+    if out_cutoff is None:
         out_cutoff = _auto_out_cutoff(k * k, state.cutoff)
     out = gain_matrix(k, state.cutoff, out_cutoff) @ state.probs
     # Exact arithmetic would give sum(out) = norm(input); the deficit is
     # the measured kernel truncation.
     kernel_loss = max(state.norm - float(out.sum()), 0.0)
-    if not fixed_cutoff and kernel_loss > 10.0 * _TAIL_TARGET:
-        raise RuntimeError(
-            f"amplifier cutoff enlargement insufficient: residual {kernel_loss:.3e}"
-        )
     return DiagonalFockState(out, state.tail_bound + kernel_loss)
 
 
@@ -168,8 +188,8 @@ def fock_ancilla_outputs(kind: str, k: float, s1: float, max_level: int) -> np.n
       ancilla comes out phase-conjugated, so the amplifier column of
       level j is shifted down by j: P(m | j) = C(m+j, j) G^-(j+1) (1-1/G)^m.
 
-    Column 0 is thermal(s~).  The cutoff keeps every amplifier column's
-    tail below _TAIL_TARGET.
+    Column 0 is thermal(s~).  The cutoff is certified by `_nb_tail_start`:
+    every amplifier column omits at most _TAIL_TARGET.
     """
     kind = normalize_kind(kind)
     k = check_k(kind, k)

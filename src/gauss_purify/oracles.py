@@ -22,6 +22,7 @@ import numpy as np
 from . import risk as risk_mod
 from .channels import (
     _auto_out_cutoff,
+    _nb_tail_start,
     amplify_kernel,
     attenuate_kernel,
     fock_ancilla_outputs,
@@ -173,45 +174,20 @@ def _tms_length(r: float, a0: int, t_max: int, n_cols: int) -> int:
     t0 = 0 it is exactly NB_n(t) = C(n+t, t) q^t (1-q)^(n+1), n = a0.
     For larger t0 the leading term of the tail is at most C(n, t0)
     NB_n(t - t0) at n = a0 + 2 t0, so the rule takes the heaviest
-    column, t0 = t_max, with that factor as its bound.  The edge window
-    starts at the first row past the law's mode where the bound, summed
-    over the remaining geometric tail and over the columns, is below
-    `_EDGE_MASS`; the edge test in `_tms_columns` certifies the result.
-    The scan's first window is sized from the law, twice its mean plus the
-    rows the tail takes to fall from the scale to `_EDGE_MASS` at ratio q,
-    so it usually is the only one.  The scan stops past `_MAX_LADDER` rows
-    and then returns a length beyond it.
+    column, t0 = t_max, with that factor times the column count as its
+    scale.  The edge window starts where `channels._nb_tail_start`, the
+    one negative-binomial tail rule, cuts that scaled law at `_EDGE_MASS`;
+    the edge test in `_tms_columns` certifies the result.  When q rounds
+    to 1 the length returned is far past `_MAX_LADDER`.
     """
     if r == 0.0:
         return t_max + 1 + _EDGE_ROWS
     # q and 1 - q = 1/k^2 in log form, finite up to the largest float k
     log_q, log_1q = 2.0 * math.log(math.tanh(r)), -2.0 * math.log(math.cosh(r))
-    q = math.exp(log_q)
     n = a0 + 2 * t_max
     lgamma = math.lgamma
     log_scale = lgamma(n + 1) - lgamma(t_max + 1) - lgamma(n - t_max + 1) + math.log(n_cols)
-    # the law's mean (n + 1) q / (1 - q) = (n + 1) sinh^2 r, held finite
-    mean = (n + 1) * min(math.sinh(r), _MAX_LADDER) ** 2
-    reach = (log_scale - math.log(_EDGE_MASS)) / -log_q if log_q < 0.0 else math.inf
-    start, span = 0, int(min(2.0 * (mean + reach), _MAX_LADDER)) + 1
-    while start <= _MAX_LADDER:
-        t = np.arange(start, start + span, dtype=float)
-        # successive pmf ratio; the law decreases past its mode, where ratio < 1
-        ratio = q * (n + t + 1.0) / (t + 1.0)
-        # log NB_n(t) at the window's first row, then the ratio's running sum
-        log_first = (
-            lgamma(n + start + 1.0) - lgamma(start + 1.0) - lgamma(n + 1.0)
-            + start * log_q + (n + 1) * log_1q
-        )
-        log_nb = log_first + np.concatenate(([0.0], np.cumsum(np.log(ratio[:-1]))))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_tail = log_scale + log_nb - np.log1p(-ratio)
-        hit = np.flatnonzero((ratio < 1.0) & (log_tail < math.log(_EDGE_MASS)))
-        if hit.size:
-            return t_max + start + int(hit[0]) + _EDGE_ROWS
-        start += span
-        span *= 2
-    return t_max + start + _EDGE_ROWS
+    return t_max + _nb_tail_start(n, log_q, log_1q, log_scale, math.log(_EDGE_MASS)) + _EDGE_ROWS
 
 
 def _tms_columns(r: float, a0: int, col_indices) -> np.ndarray:
@@ -963,7 +939,9 @@ def _check_column_stochastic(rng: np.random.Generator, fast: bool) -> dict:
         neg = min(neg, float(mat.min()))
         sums = mat.sum(axis=0)
         worst_amp = max(worst_amp, float(np.max(np.abs(sums - 1.0))))
-    ok = worst_att <= 1e-12 and worst_amp <= 1e-10 and neg >= 0.0
+    # an amplifier column sum misses 1 by its certified cut (<= 1e-14) plus
+    # `_binomial`'s rounding, eps * lgamma(m + 1) relative: < 4e-13 at m <= 364
+    ok = worst_att <= 1e-12 and worst_amp <= 1e-11 and neg >= 0.0
     return _report(ok, att_err=worst_att, amp_err=worst_amp, min_entry=neg)
 
 

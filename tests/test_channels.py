@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import time
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -12,9 +14,11 @@ from scipy.special import gammaln
 from scipy.stats import binom, nbinom
 
 from gauss_purify.channels import (
+    _TAIL_TARGET,
     AMPLIFY,
     ATTENUATE,
     ClassicalGaussian,
+    _nb_tail_start,
     amplify_kernel,
     attenuate_kernel,
     channel_s_tilde,
@@ -25,7 +29,7 @@ from gauss_purify.channels import (
     normalize_kind,
     thinning_matrix,
 )
-from gauss_purify.fock import l1_distance, thermal_state, vacuum_state
+from gauss_purify.fock import l1_distance, number_state, thermal_state, vacuum_state
 from gauss_purify.oracles import _channel_outputs, _thermal_cutoff
 
 att_ks = st.floats(min_value=0.05, max_value=0.95)
@@ -124,6 +128,53 @@ def test_amplify_auto_cutoff_certifies_loss():
     out = amplify_kernel(2.0, thermal_state(0.5, 80))
     src_tail = thermal_state(0.5, 80).tail_bound
     assert out.tail_bound - src_tail <= 1e-13
+    # the output of |n> is n + NB_n at rate 1/k^2, so the mass past the
+    # auto cutoff is the law's survival function there; a cutoff padded
+    # by sqrt(mean) instead of the law's spread fell short at all four
+    for k, n in ((2.0, 500), (4.0, 100), (5.0, 200), (10.0, 30)):
+        out = amplify_kernel(k, number_state(n))
+        assert nbinom.sf(out.cutoff - n, n + 1, 1.0 / (k * k)) <= _TAIL_TARGET, (k, n)
+
+
+def _nb_bound(n, q, log_scale, t):
+    """exp(log_scale) NB_n(t) / (1 - rho_t), or inf before the mode."""
+    ratio = q * (n + t + 1.0) / (t + 1.0)
+    if ratio >= 1.0:
+        return math.inf
+    return math.exp(log_scale) * nbinom.pmf(t, n + 1, 1.0 - q) / (1.0 - ratio)
+
+
+@pytest.mark.parametrize("n", [0, 3, 40, 300])
+@pytest.mark.parametrize("G", [1.0005**2, 1.1, 2.0, 25.0])
+@pytest.mark.parametrize("log_scale", [0.0, 20.0])
+def test_nb_tail_start_cuts_the_scaled_tail_at_its_first_row(n, G, log_scale):
+    q, mass = 1.0 - 1.0 / G, 1e-14
+    t = _nb_tail_start(n, math.log1p(-1.0 / G), -math.log(G), log_scale, math.log(mass))
+    # the scaled tail from t is below the mass ...
+    assert math.exp(log_scale) * nbinom.sf(t - 1, n + 1, 1.0 / G) < mass * (1 + 1e-9)
+    # ... and the bound at t - 1 is not, or t - 1 lies before the mode
+    if t > 0:
+        assert _nb_bound(n, q, log_scale, t - 1) >= mass * (1 - 1e-9)
+    if n == 0:
+        # geometric law: the bound q^t (1 - q) / (1 - q) = q^t, closed form
+        want = max(0, math.floor((math.log(mass) - log_scale) / math.log(q)) + 1)
+        assert t == want
+
+
+def test_nb_tail_start_stops_at_once_when_q_rounds_to_one():
+    # at G = 1e20, q = exp(log1p(-1/G)) rounds to 1 and leaves no row past
+    # a mode: the search returns past 2^40 after about 41 scalar steps and
+    # allocates nothing
+    G = 1e20
+    tracemalloc.start()
+    start = time.perf_counter()
+    t = _nb_tail_start(5, math.log1p(-1.0 / G), -math.log(G), 0.0, math.log(1e-14))
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert t > 1 << 40
+    assert elapsed < 0.01
+    assert peak < 10_000
 
 
 def test_amplify_pinned_cutoff_measures_loss():

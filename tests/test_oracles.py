@@ -894,3 +894,17 @@ def test_kernel_error_of_1e_9_fails_the_kernel_check(monkeypatch):
     report = oracles._check_kernel_vs_unitary(np.random.default_rng(0), fast=True)
     assert report["ok"] is False
     assert 1e-12 < report["max_entry_err"] <= 1e-8
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_gain_column_error_of_5e_11_fails_the_column_check(monkeypatch, fast):
+    # mutation check: gain columns scaled by 1 + 5e-11 must fail
+    # column_stochastic, which measures about 5e-14 on the exact kernel;
+    # the old bound 1e-10 let it pass
+    true_fn = oracles.gain_matrix
+    rng = np.random.default_rng(0)
+    assert oracles._check_column_stochastic(rng, fast)["ok"] is True
+    monkeypatch.setattr(oracles, "gain_matrix", lambda *args: true_fn(*args) * (1.0 + 5e-11))
+    report = oracles._check_column_stochastic(rng, fast)
+    assert report["ok"] is False
+    assert 1e-11 < report["amp_err"] <= 1e-10
