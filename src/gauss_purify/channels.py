@@ -54,6 +54,10 @@ __all__ = [
 # Largest omitted mass an auto-sized amplifier output cutoff may add.
 _TAIL_TARGET = 1e-14
 
+# Most entries, (out cutoff + 1) x (in cutoff + 1), of an auto-sized
+# amplifier block: 128 MB of float64, ten times the largest the tests build.
+_MAX_BLOCK = 1 << 24
+
 
 @dataclass(frozen=True)
 class ClassicalGaussian:
@@ -144,11 +148,19 @@ def _nb_tail_start(n: int, log_q: float, log_1q: float, log_scale: float, log_ma
     return hi
 
 
-def _auto_out_cutoff(G: float, in_cutoff: int) -> int:
-    """Output cutoff leaving each amplifier column, n + NB_n at rate 1/G, under _TAIL_TARGET."""
-    return in_cutoff + _nb_tail_start(
+def _auto_out_cutoff(G: float, in_cutoff: int, **inputs: float) -> int:
+    """Output cutoff leaving each amplifier column, n + NB_n at rate 1/G, under _TAIL_TARGET.
+
+    ValueError naming `inputs` when the block would pass _MAX_BLOCK entries.
+    """
+    out_cutoff = in_cutoff + _nb_tail_start(
         in_cutoff, math.log1p(-1.0 / G), -math.log(G), 0.0, math.log(_TAIL_TARGET)
     )
+    if (out_cutoff + 1) * (in_cutoff + 1) > _MAX_BLOCK:
+        named = ", ".join(f"{name} = {value!r}" for name, value in inputs.items())
+        size = f"{out_cutoff + 1} x {in_cutoff + 1}"
+        raise ValueError(f"{named}: the amplifier block needs {size} entries, over {_MAX_BLOCK}")
+    return out_cutoff
 
 
 def amplify_kernel(
@@ -157,14 +169,15 @@ def amplify_kernel(
     """Apply the vacuum-ancilla parametric-amplifier channel.
 
     By default the output cutoff is certified by `_nb_tail_start`: every
-    kernel column omits at most _TAIL_TARGET.  Pass ``out_cutoff`` to pin
-    the support instead.  Either way the output's tail bound adds the
-    measured truncation, the input's norm minus the output's, to the
+    kernel column omits at most _TAIL_TARGET, and ValueError names k when
+    the kernel would pass _MAX_BLOCK = 2^24 entries.  Pass ``out_cutoff``
+    to pin the support instead.  Either way the output's tail bound adds
+    the measured truncation, the input's norm minus the output's, to the
     input's own tail bound.
     """
     k = check_k(AMPLIFY, k)
     if out_cutoff is None:
-        out_cutoff = _auto_out_cutoff(k * k, state.cutoff)
+        out_cutoff = _auto_out_cutoff(k * k, state.cutoff, k=k)
     out = gain_matrix(k, state.cutoff, out_cutoff) @ state.probs
     # Exact arithmetic would give sum(out) = norm(input); the deficit is
     # the measured kernel truncation.
@@ -189,7 +202,8 @@ def fock_ancilla_outputs(kind: str, k: float, s1: float, max_level: int) -> np.n
       level j is shifted down by j: P(m | j) = C(m+j, j) G^-(j+1) (1-1/G)^m.
 
     Column 0 is thermal(s~).  The cutoff is certified by `_nb_tail_start`:
-    every amplifier column omits at most _TAIL_TARGET.
+    every amplifier column omits at most _TAIL_TARGET.  ValueError names k
+    and s1 when the amplifier block would pass _MAX_BLOCK = 2^24 entries.
     """
     kind = normalize_kind(kind)
     k = check_k(kind, k)
@@ -207,7 +221,7 @@ def fock_ancilla_outputs(kind: str, k: float, s1: float, max_level: int) -> np.n
     loss = np.eye(max_level + 1) if eta == 1.0 else _binomial(levels, levels[:, None], eta)
     if G == 1.0:
         return loss
-    rows = np.arange(_auto_out_cutoff(G, max_level) + 1)[:, None]
+    rows = np.arange(_auto_out_cutoff(G, max_level, k=k, s1=s1) + 1)[:, None]
     if kind == AMPLIFY:
         rows = rows + levels
     return (_binomial(rows, levels, 1.0 / G) / G) @ loss

@@ -935,7 +935,7 @@ def _check_column_stochastic(rng: np.random.Generator, fast: bool) -> dict:
     worst_amp = 0.0
     neg = 0.0
     for k in (1.2, 1.7):
-        mat = gain_matrix(k, cut, _auto_out_cutoff(k * k, cut))
+        mat = gain_matrix(k, cut, _auto_out_cutoff(k * k, cut, k=k))
         neg = min(neg, float(mat.min()))
         sums = mat.sum(axis=0)
         worst_amp = max(worst_amp, float(np.max(np.abs(sums - 1.0))))
@@ -1261,24 +1261,25 @@ def _check_case_continuity(rng: np.random.Generator, fast: bool) -> dict:
 
 
 def _check_case4_bounds(rng: np.random.Generator, fast: bool) -> dict:
-    # case-4 points on the fig-6 curves
+    # case-4 points (s~, s2, var1, var2) on the fig-6 curves; the full suite
+    # adds one near s = 1, whose erf runs take _erf_sum's panel rule
     fig6a, fig6b, fig6c = risk_mod.FIG6_SCENARIOS
-    points = [(fig6a, 0.8), (fig6a, 0.95), (fig6b, 1.9), (fig6c, 2.0)]
-    if fast:
-        points = points[:2]
+    on_curves = [(fig6a, 0.8), (fig6a, 0.95), (fig6b, 1.9), (fig6c, 2.0)]
+    points = [] if fast else [(0.99, 0.995, 1.5, 1.0)]
+    for (_, r0, lam, _), k in on_curves[:2] if fast else on_curves:
+        sc = risk_mod.QubitScenario(r0, lam, k=k)
+        points.append((risk_mod.combined_risk(sc).s_tilde, sc.s2, k * k * sc.V1, sc.V2))
     worst_low = 0.0
     worst_high = 0.0
     worst_quad = 0.0
-    for (_, r0, lam, _), k in points:
-        sc = risk_mod.QubitScenario(r0, lam, k=k)
-        rep = risk_mod.combined_risk(sc)
-        lower = max(rep.classical_risk, rep.quantum_risk)
-        upper = rep.classical_risk + rep.quantum_risk
-        worst_low = max(worst_low, lower - rep.total_risk)
-        worst_high = max(worst_high, rep.total_risk - upper)
-        quad_val = case4_risk_quad(rep.s_tilde, sc.s2, k * k * sc.V1, sc.V2)
-        worst_quad = max(worst_quad, abs(quad_val - rep.total_risk))
-    ok = worst_low <= 1e-8 and worst_high <= 1e-8 and worst_quad <= 1e-10
+    for s_t, s2, var1, var2 in points:
+        total = risk_mod.case4_risk(s_t, s2, var1, var2)
+        quantum, classical = risk_mod.geometric_l1(s_t, s2)[0], risk_mod.gaussian_l1(var1, var2)
+        worst_low = max(worst_low, max(classical, quantum) - total)
+        worst_high = max(worst_high, total - (classical + quantum))
+        worst_quad = max(worst_quad, abs(case4_risk_quad(s_t, s2, var1, var2) - total))
+    # the gap is case4_risk_quad's certified _QUAD_TOL = 1e-12 plus rounding
+    ok = worst_low <= 1e-8 and worst_high <= 1e-8 and worst_quad <= 1e-11
     return _report(
         ok,
         points=len(points),

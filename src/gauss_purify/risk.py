@@ -58,8 +58,8 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # the 8-point Gauss-Legendre rule on [-1, 1], as (node, weight) for the
-# positive nodes; gaussian_l1 integrates the normal density with it over
-# widths below 0.5, where its error is below 1e-20
+# positive nodes: gaussian_l1's one panel (width below 0.5, error below
+# 1e-20 on the normal density) and the case-4 panels of _panels
 _GAUSS_LEGENDRE = (
     (0.1834346424956498, 0.362683783378362),
     (0.525532409916329, 0.31370664587788727),
@@ -86,22 +86,13 @@ _CASE4_TAIL = 1e-18
 _LOG_NEGLIGIBLE = -60.0 * math.log(2.0)
 
 # Case-4 erf sums over at most this many indices are summed term by
-# term; longer ones go through Euler-Maclaurin (_euler_maclaurin).
+# term; longer ones go through the panel rule on Craig's integral.
 _DIRECT_TERMS = 64
 
-# erf(sqrt(y)) rounds to exactly 1.0 for y >= 36 (erfc(6) ~ 2e-17).
-_Y_ONE = 36.0
+# Width of the Gauss-Legendre panels that integrate Craig's form of a
+# long erf run; at 0.5 they match a term-by-term sum to about 1e-15.
+_PANEL_WIDTH = 0.5
 
-# Indices next to the sqrt-singular end summed directly before
-# Euler-Maclaurin takes over.
-_EM_SKIP = 8
-
-# Euler-Maclaurin runs with 8 Bernoulli corrections and is used only
-# where its remainder bound is below this, about the rounding of the sum.
-_EM_TOL = 1e-15
-# B_2k / (2k) for k = 1..8, and |B_16| / 16! for the remainder bound
-_BERNOULLI = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12, -3617 / 8160)
-_BERNOULLI_REM = 3617 / 510 / math.factorial(16)
 
 def _phi(x: float) -> float:
     """Standard normal CDF."""
@@ -251,162 +242,56 @@ def _last_term(s_t: float, s2: float) -> int:
     return math.floor(math.log(0.25 * _CASE4_TAIL) / math.log(max(s_t, s2)))
 
 
-def _erfcx(z: float) -> float:
-    """exp(z^2) erfc(z) for z >= 0."""
-    if z < 8.0:
-        return math.exp(z * z) * math.erfc(z)
-    # asymptotic series; its terms fall below 1e-17 long before they turn
-    term = total = 1.0
-    k = 0
-    while abs(term) > 1e-17:
-        k += 1
-        term *= -(2 * k - 1) / (2.0 * z * z)
-        total += term
-    return total / (z * math.sqrt(math.pi))
-
-
-def _kummer(z: float) -> float:
-    """Kummer's M(1; 3/2; z) = sum_k (2z)^k / (2k+1)!! for z <= 1.
-
-    For z < -1 it is D(x)/x with Dawson's integral D at x = sqrt(-z),
-    summed without cancellation: as exp(-x^2) sum_k x^2k / (k! (2k+1))
-    up to x^2 = 40, asymptotically as sum_k (2k-1)!! / (2x^2)^(k+1) above.
-    """
-    if z >= -1.0:
-        term = total = 1.0
-        k = 0
-        while abs(term) > 1e-17 * total:
-            k += 1
-            term *= 2.0 * z / (2 * k + 1)
-            total += term
-        return total
-    x2 = -z
-    term = total = 1.0
-    k = 0
-    if x2 > 40.0:
-        while term > 1e-17:
-            k += 1
-            term *= (2 * k - 1) / (2.0 * x2)
-            total += term
-        return total / (2.0 * x2)
-    while term > 1e-17 * total:
-        k += 1
-        term *= x2 / k
-        total += term / (2 * k + 1)
-    return math.exp(-x2) * total
-
-
-def _taylor(w: float, y: float, mu: float, kappa: float, count: int) -> list:
-    """Taylor coefficients f_0..f_(count-1) at h = 0 of
-    w exp(-mu h) erf(sqrt(y + kappa h)), for y > 0.
-
-    u = w exp(-mu h) d/dh erf(sqrt(y + kappa h)) obeys
-    2 (y + kappa h) u' = -(2 (mu + kappa) (y + kappa h) + kappa) u, which
-    gives its coefficients by a two-term recurrence, and f' = u - mu f.
-    """
-    u_prev, u = 0.0, w * kappa * math.exp(-y) / math.sqrt(math.pi * y)
-    f = [w * math.erf(math.sqrt(y))]
-    for k in range(count - 1):
-        f.append((u - mu * f[-1]) / (k + 1))
-        u_prev, u = u, -(
-            (2.0 * (mu + kappa) * y + kappa * (2 * k + 1)) * u
-            + 2.0 * kappa * (mu + kappa) * u_prev
-        ) / (2.0 * y * (k + 1))
-    return f
-
-
-def _euler_maclaurin(mu: float, y0: float, kappa: float, m: int) -> tuple[float, float]:
-    """Sum over i = 0..m of F(i) = exp(-mu (i - r)) erf(sqrt(y0 + kappa i)).
-
-    y0 > 0 and kappa > 0, so i runs away from the sqrt-singular point;
-    r is 0 for mu > 0 and m for mu < 0, so the weight is at most 1.
-    Returns (estimate, bound on the Euler-Maclaurin remainder).
-
-    The integral of F is closed form: integrating by parts, it is
-    (Psi(0) - Psi(m)) / mu with Psi = weight * (erf(sqrt y) - L(y)), where
-    L(y) = exp(-y) chi(y) / sqrt(pi) and chi' - rho chi = y^(-1/2),
-    rho = 1 + mu / kappa.  chi is -sqrt(pi/rho) erfcx(sqrt(rho y)) when
-    rho y reaches past 1, else 2 sqrt(y) M(1; 3/2; rho y); both ends use
-    the same one.  The remainder is at most |B_16|/16! times the integral
-    of |F^(16)|, which Leibniz's rule bounds through the derivatives of
-    erf(sqrt y) at y0: (-1)^j d^j/dy^j of exp(-y) y^(-1/2) is positive and
-    decreasing, so each |G^(j)| integrates to at most |G^(j-1)(0)|.
-    """
-    order = 2 * len(_BERNOULLI)
-    r = 0 if mu > 0.0 else m
-    y1 = y0 + kappa * m
-    rho = 1.0 + mu / kappa
-    if rho > 0.0 and rho * y1 > 1.0:
-        def tail(y):
-            return -math.exp(-y) * _erfcx(math.sqrt(rho * y)) / math.sqrt(rho)
-    else:
-        def tail(y):
-            return math.exp(-y) * 2.0 * math.sqrt(y / math.pi) * _kummer(rho * y)
-    heads = []
-    for i, y in ((0, y0), (m, y1)):
-        w = math.exp(-mu * (i - r))
-        f = _taylor(w, y, mu, kappa, order)
-        heads.append((f, f[0] - w * tail(y)))
-    (f0, psi0), (f1, psi1) = heads
-    total = (psi0 - psi1) / mu + 0.5 * (f0[0] + f1[0])
-    for k, coef in enumerate(_BERNOULLI):
-        total += coef * (f1[2 * k + 1] - f0[2 * k + 1])
-    # remainder: Leibniz over F^(16) = sum_j C(16, j) (-mu)^(16-j) w G^(j)
-    g = _taylor(1.0, y0, 0.0, kappa, order)
-    a = abs(mu)
-    bound = a ** (order - 1) * (-math.expm1(-a * m)) + order * a ** (order - 1)
-    binom, fact = order, 1.0
-    for j in range(2, order + 1):
-        binom = binom * (order - j + 1) // j
-        fact *= j - 1
-        bound += binom * a ** (order - j) * fact * abs(g[j - 1])
-    return total, _BERNOULLI_REM * bound
-
-
 def _erf_terms(s: float, lo: int, hi: int, a: float, b: float) -> float:
     """Sum of (1 - s) s^n erf(sqrt(a + b n)) over lo <= n < hi, term by term."""
     terms = (s**n * math.erf(math.sqrt(max(a + b * n, 0.0))) for n in range(lo, hi))
     return (1.0 - s) * math.fsum(terms)
 
 
+def _panels(f, end: float) -> float:
+    """Integral of f over [0, end] by Gauss-Legendre panels of width at most _PANEL_WIDTH."""
+    n = max(1, math.ceil(end / _PANEL_WIDTH))
+    half = 0.5 * end / n
+    return half * sum(
+        w * (f((2 * i + 1) * half - half * x) + f((2 * i + 1) * half + half * x))
+        for i in range(n)
+        for x, w in _GAUSS_LEGENDRE
+    )
+
+
 def _erf_sum(s: float, lo: int, hi: int, a: float, b: float) -> float:
     """Sum of (1 - s) s^n erf(sqrt(a + b n)) over lo <= n < hi, a + b n > 0.
 
-    Where a + b n >= 36 the erf is 1.0 and the terms sum as a geometric
-    series.  The rest is summed term by term when it is short; otherwise
-    its _EM_SKIP indices next to the end where a + b n -> 0 are summed
-    term by term and the others by Euler-Maclaurin, unless the remainder
-    bound exceeds _EM_TOL (s far from 1), where every term is summed.
+    Short runs are summed term by term.  Longer ones integrate Craig's
+    form erfc(sqrt y) = (2/pi) int_0^inf exp(-y w) / w dt, w = 1 + t^2,
+    where the run's terms s^n exp(-(a + b n) w) form a geometric series,
+    summed in closed form from its largest term.  Gauss-Legendre panels
+    cover t in [0, 1] and u = log t >= 0, where the integrand is analytic
+    in a fixed strip.
     """
     if hi - lo <= _DIRECT_TERMS:
         return _erf_terms(s, lo, hi, a, b)
-    if b == 0.0:
-        # underflowed: this variance is negligible next to the other one
-        return math.erf(math.sqrt(a)) * (s**lo - s**hi)
-    # a + b n reaches _Y_ONE at n = t
-    t = min(max((_Y_ONE - a) / b, lo - 1.0), float(hi))
-    if b > 0.0:
-        one = max(lo, math.ceil(t))
-        total, lo_r, hi_r = s**one - s**hi, lo, one
-    else:
-        one = min(hi, math.floor(t) + 1)
-        total, lo_r, hi_r = s**lo - s**one, one, hi
-    if hi_r - lo_r <= _DIRECT_TERMS:
-        return total + _erf_terms(s, lo_r, hi_r, a, b)
-    mu = -math.log(s)
-    m = hi_r - lo_r - _EM_SKIP - 1
-    # a + b n > 0 on the run, so _EM_SKIP indices inside its near end it is
-    # above _EM_SKIP |b|; the max only undoes rounding in a + b n
-    if b > 0.0:
-        skip, first = (lo_r, lo_r + _EM_SKIP), lo_r + _EM_SKIP
-        value, bound = _euler_maclaurin(mu, max(a + b * first, _EM_SKIP * b), b, m)
-    else:
-        skip, first = (hi_r - _EM_SKIP, hi_r), lo_r
-        value, bound = _euler_maclaurin(-mu, max(a + b * (first + m), -_EM_SKIP * b), -b, m)
-    weight = (1.0 - s) * s**first
-    if weight * bound > _EM_TOL:
-        return total + _erf_terms(s, lo_r, hi_r, a, b)
-    return total + weight * value + _erf_terms(s, *skip, a, b)
+    log_s, count = math.log(s), hi - lo
+    # (n log s, y_n = a + b n) at the run's ends, formed once, so that the
+    # exponent n log s - y_n w of the largest term neither cancels nor
+    # overflows; the max undoes rounding in a + b n
+    ends = [(n * log_s, max(a + b * n, 0.0)) for n in (lo, hi - 1)]
+
+    def integrand(t: float) -> float:
+        w = 1.0 + t * t
+        step = log_s - b * w  # log of the series' ratio
+        n_log_s, y = ends[step > 0.0]
+        ratio = math.expm1(-abs(step) * count) / math.expm1(-abs(step)) if step else count
+        return math.exp(n_log_s - y * w) * ratio / w
+
+    # past t^2 = 45 / y_min every term is below e^-45; at y_min -> 0 the
+    # integrand decays like e^-u, so u = 41 leaves under 2e-18
+    y_min = min(ends[0][1], ends[1][1])
+    u_end = min(0.5 * math.log(45.0 / y_min), 41.0) if y_min > 0.0 else 41.0
+    total = _panels(integrand, 1.0)
+    if u_end > 0.0:
+        total += _panels(lambda u: integrand(math.exp(u)) * math.exp(u), u_end)
+    return (s**lo - s**hi) - (1.0 - s) * total * 2.0 / math.pi
 
 
 def case4_risk(s_t: float, s2: float, var1: float, var2: float) -> float:
@@ -428,9 +313,9 @@ def case4_risk(s_t: float, s2: float, var1: float, var2: float) -> float:
       sigma [2 (A_n erf u1 - B_n erf u2) - A_n + B_n] with
       u_i = x_n / sqrt(2 var_i); the erf sums go through _erf_sum.
 
-    The Euler-Maclaurin remainders are kept below 1e-15 each, so the
-    result agrees with the full series to about 1e-15.  Runs on math
-    alone, in O(1) time for any s_t, s2 < 1.
+    The result agrees with the full series to about 1e-15, as _erf_sum's
+    panel rule on Craig's form of erfc does with a term-by-term sum on
+    seeded runs.  Runs on math alone, in O(1) time for any s_t, s2 < 1.
     """
     check_thermal("s_t", s_t)
     check_thermal("s2", s2)

@@ -14,6 +14,7 @@ from scipy.special import gammaln
 from scipy.stats import binom, nbinom
 
 from gauss_purify.channels import (
+    _MAX_BLOCK,
     _TAIL_TARGET,
     AMPLIFY,
     ATTENUATE,
@@ -175,6 +176,26 @@ def test_nb_tail_start_stops_at_once_when_q_rounds_to_one():
     assert t > 1 << 40
     assert elapsed < 0.01
     assert peak < 10_000
+
+
+@pytest.mark.parametrize(
+    "call, names",
+    [
+        (lambda: amplify_kernel(1e3, thermal_state(0.5, 40)), "k = 1000.0"),
+        # G = 1e20: q rounds to 1, so the certified cutoff passes 2^40 rows
+        (lambda: amplify_kernel(1e10, number_state(5)), "k = 10000000000.0"),
+        (lambda: fock_ancilla_outputs(AMPLIFY, 1e10, 0.5, 3), "k = 10000000000.0, s1 = 0.5"),
+        (lambda: fock_ancilla_outputs(ATTENUATE, 0.5, 1.0 - 2**-52, 2), "k = 0.5, s1 = 0.99999"),
+    ],
+)
+def test_amplifier_block_past_the_cap_raises_before_allocating(call, names):
+    tracemalloc.start()
+    with pytest.raises(ValueError, match=f"entries, over {_MAX_BLOCK}") as info:
+        call()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert names in str(info.value)
+    assert peak < 1_000_000
 
 
 def test_amplify_pinned_cutoff_measures_loss():

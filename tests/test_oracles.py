@@ -897,6 +897,20 @@ def test_kernel_error_of_1e_9_fails_the_kernel_check(monkeypatch):
 
 
 @pytest.mark.parametrize("fast", [True, False])
+def test_case4_error_of_5e_11_fails_the_case4_bounds_check(monkeypatch, fast):
+    # mutation check: case4_risk raised by 5e-11 must fail case4_bounds,
+    # which measures about 6e-14 against case4_risk_quad; the old bound
+    # 1e-10 let it pass
+    true_fn = risk_mod.case4_risk
+    rng = np.random.default_rng(0)
+    assert oracles._check_case4_bounds(rng, fast)["ok"] is True
+    monkeypatch.setattr(risk_mod, "case4_risk", lambda *args: true_fn(*args) + 5e-11)
+    report = oracles._check_case4_bounds(rng, fast)
+    assert report["ok"] is False
+    assert 1e-11 < report["worst_quadrature_gap"] <= 1e-10
+
+
+@pytest.mark.parametrize("fast", [True, False])
 def test_gain_column_error_of_5e_11_fails_the_column_check(monkeypatch, fast):
     # mutation check: gain columns scaled by 1 + 5e-11 must fail
     # column_stochastic, which measures about 5e-14 on the exact kernel;

@@ -322,7 +322,7 @@ def _case4_mpmath(s_t, s2, var1, var2):
         (0.5, 0.2, 1.0, 1.0 * (1.0 + 1e-6)),  # near-equal variances
         (0.56, 0.55, 1.18, 1.18 * (1.0 - 1e-8)),
         (0.999, 0.3, 1.5, 1.0),  # s~ near 1
-        # s~ and s2 near 1: Euler-Maclaurin sums, crossings at the head and the tail
+        # s~ and s2 near 1: long erf runs, crossings at the head and the tail
         (0.999, 0.998, 1.5, 1.0),
         (0.999, 0.99, 2.0, 0.5),
         (0.99, 0.995, 1.5, 1.0),
@@ -335,37 +335,57 @@ def test_case4_matches_mpmath_series(args):
 @pytest.mark.parametrize(
     "args, sign",
     [
-        ((0.99995, 0.9999, 1.5, 1.0), -1),  # crossing at the head: summed from its far end
+        ((0.99995, 0.9999, 1.5, 1.0), -1),  # crossing at the head: a + b n falls along the run
         ((0.9999, 0.99995, 1.5, 1.0), 1),  # crossing at the tail
     ],
 )
 def test_case4_euler_maclaurin_matches_direct_sum(monkeypatch, args, sign):
-    seen = []
-    em = risk_mod._euler_maclaurin
+    # both long erf runs go through the panel rule on Craig's integral
+    runs, ends = [], []
+    erf_sum, panels = risk_mod._erf_sum, risk_mod._panels
 
-    def spy(mu, *rest):
-        seen.append(mu)
-        return em(mu, *rest)
+    def run_spy(s, lo, hi, a, b):
+        runs.append((hi - lo, b))
+        return erf_sum(s, lo, hi, a, b)
 
-    monkeypatch.setattr(risk_mod, "_euler_maclaurin", spy)
+    def panel_spy(f, end):
+        ends.append(end)
+        return panels(f, end)
+
+    monkeypatch.setattr(risk_mod, "_erf_sum", run_spy)
+    monkeypatch.setattr(risk_mod, "_panels", panel_spy)
     fast = case4_risk(*args)
-    assert len(seen) == 2 and all(math.copysign(1.0, mu) == sign for mu in seen)
+    assert len(runs) == 2 and all(n > risk_mod._DIRECT_TERMS for n, _ in runs)
+    assert all(math.copysign(1.0, b) == sign for _, b in runs)
+    assert len(ends) == 4 and ends[::2] == [1.0, 1.0]
     monkeypatch.setattr(risk_mod, "_DIRECT_TERMS", 10**9)
     assert abs(fast - case4_risk(*args)) < 1e-12
-    assert len(seen) == 2
+    assert len(ends) == 4
 
 
-@pytest.mark.parametrize("z", [1.0, 0.3, 1e-9, 0.0, -0.7, -1.5, -12.0, -39.0, -41.0, -400.0])
-def test_kummer_matches_mpmath(z):
-    want = float(mpmath.hyp1f1(1, 1.5, z))
-    assert abs(risk_mod._kummer(z) - want) < 1e-14 * want
+def _seeded_runs(count: int):
+    """(s, lo, hi, a, b) erf runs of 65 to 1e5 terms, y_min from 1e-12 to 16."""
+    rng = np.random.default_rng(2)
+    for i in range(count):
+        n = int(10 ** rng.uniform(math.log10(65), 5))
+        lo = int(rng.integers(0, 1000))
+        y_min = 10 ** rng.uniform(-12, math.log10(16))
+        b = 10 ** rng.uniform(-6, 2.5) / n * (1 if i % 2 else -1)
+        # y_min at the head when b > 0, at the far end when b < 0
+        a = y_min - b * (lo if b > 0 else lo + n - 1)
+        yield 1.0 - 10 ** rng.uniform(-6, -0.5), lo, lo + n, a, b
 
 
-@pytest.mark.parametrize("z", [0.0, 0.5, 3.0, 7.9, 8.0, 12.0, 1e3])
-def test_erfcx_matches_mpmath(z):
-    with mpmath.workdps(30):
-        want = float(mpmath.exp(mpmath.mpf(z) ** 2) * mpmath.erfc(z))
-    assert abs(risk_mod._erfcx(z) - want) < 5e-14 * want
+def test_erf_sum_panel_rule_matches_term_by_term_sum():
+    runs = list(_seeded_runs(60))
+    # one run that crosses y = 36, where erf rounds to 1
+    runs.append((1.0 - 1e-4, 0, 20_000, 1e-3, 50.0 / 20_000))
+    assert any(a + b * (hi - 1) > 36.0 > a + b * lo for _, lo, hi, a, b in runs if b > 0)
+    assert {math.copysign(1.0, b) for *_, b in runs} == {1.0, -1.0}
+    for s, lo, hi, a, b in runs:
+        assert hi - lo > risk_mod._DIRECT_TERMS
+        want = risk_mod._erf_terms(s, lo, hi, a, b)
+        assert abs(risk_mod._erf_sum(s, lo, hi, a, b) - want) < 1e-14, (s, lo, hi, a, b)
 
 
 @given(
