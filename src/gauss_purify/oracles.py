@@ -70,8 +70,11 @@ __all__ = [
 ]
 
 # ladder evolutions are accepted once the mass near the truncation edge
-# is below this (the wavefront has not reached the wall)
+# is below this per unit column (the wavefront has not reached the wall);
+# `_channel_outputs` lets a ladder whose inputs weigh at most w lose
+# min(_OUTPUT_MASS / w, 1e-16), so n ladders lose at most n * 1e-18 of output
 _EDGE_MASS = 1e-24
+_OUTPUT_MASS = 1e-18
 _EDGE_ROWS = 16
 # longest squeezer ladder decomposed (its two half-size singular-vector
 # matrices take about 0.27 GB); longer ones, at high gain or large photon
@@ -166,8 +169,8 @@ def _bs_block(theta: float, total: int) -> np.ndarray:
     return _ladder_evolve(offdiag, theta, np.arange(total + 1))
 
 
-def _tms_length(r: float, a0: int, t_max: int, n_cols: int) -> int:
-    """Squeezer ladder length whose last `_EDGE_ROWS` rows carry < `_EDGE_MASS`.
+def _tms_length(r: float, a0: int, t_max: int, n_cols: int, edge: float = _EDGE_MASS) -> int:
+    """Squeezer ladder length whose last `_EDGE_ROWS` rows carry < `edge`.
 
     Column t0 of the evolved ladder spreads over rows t0 + t like a
     negative binomial in t with ratio q = tanh^2 r = 1 - 1/k^2; for
@@ -176,9 +179,10 @@ def _tms_length(r: float, a0: int, t_max: int, n_cols: int) -> int:
     NB_n(t - t0) at n = a0 + 2 t0, so the rule takes the heaviest
     column, t0 = t_max, with that factor times the column count as its
     scale.  The edge window starts where `channels._nb_tail_start`, the
-    one negative-binomial tail rule, cuts that scaled law at `_EDGE_MASS`;
-    the edge test in `_tms_columns` certifies the result.  When q rounds
-    to 1 the length returned is far past `_MAX_LADDER`.
+    one negative-binomial tail rule, cuts that scaled law at `edge` (see
+    `_ladders` for the weighted edge); the edge test in `_tms_columns`
+    certifies the result against the same edge.  When q rounds to 1 the
+    length returned is far past `_MAX_LADDER`.
     """
     if r == 0.0:
         return t_max + 1 + _EDGE_ROWS
@@ -187,27 +191,27 @@ def _tms_length(r: float, a0: int, t_max: int, n_cols: int) -> int:
     n = a0 + 2 * t_max
     lgamma = math.lgamma
     log_scale = lgamma(n + 1) - lgamma(t_max + 1) - lgamma(n - t_max + 1) + math.log(n_cols)
-    return t_max + _nb_tail_start(n, log_q, log_1q, log_scale, math.log(_EDGE_MASS)) + _EDGE_ROWS
+    return t_max + _nb_tail_start(n, log_q, log_1q, log_scale, math.log(edge)) + _EDGE_ROWS
 
 
-def _tms_columns(r: float, a0: int, col_indices) -> np.ndarray:
+def _tms_columns(r: float, a0: int, col_indices, edge: float = _EDGE_MASS) -> np.ndarray:
     """Evolved squeezer columns |a0+t, t> -> ladder amplitudes.
 
     The generator on the ladder span{|a0+j, j>} is real antisymmetric
     tridiagonal and is exponentiated exactly by `_ladder_evolve`.  The
     ladder length comes from `_tms_length`, and the edge-mass test
-    certifies it: the mass past the ladder is below `_EDGE_MASS`, so the
+    certifies it: the mass past the ladder is below `edge`, so the
     returned amplitudes agree with the untruncated evolution.  A ladder
     that fails the test is doubled.  Raises ValueError naming k when the
     ladder would need more than `_MAX_LADDER` rows.
     """
     t_max = max(col_indices)
-    length = _tms_length(r, a0, t_max, len(col_indices))
+    length = _tms_length(r, a0, t_max, len(col_indices), edge)
     while length <= _MAX_LADDER:
         j = np.arange(length - 1)
         offdiag = np.sqrt((a0 + j + 1.0) * (j + 1.0))
         cols = _ladder_evolve(offdiag, r, col_indices)
-        if float(np.sum(cols[-_EDGE_ROWS:, :] ** 2)) <= _EDGE_MASS:
+        if float(np.sum(cols[-_EDGE_ROWS:, :] ** 2)) <= edge:
             return cols
         length *= 2
     raise ValueError(
@@ -216,7 +220,7 @@ def _tms_columns(r: float, a0: int, col_indices) -> np.ndarray:
     )
 
 
-def _ladders(kind: str, k: float, na: np.ndarray, nb: np.ndarray):
+def _ladders(kind: str, k: float, na: np.ndarray, nb: np.ndarray, weights=None):
     """Yield (sel, m, j, cols) for every ladder the joint states |na[i], nb[i]> sit on.
 
     sel holds the positions of the inputs the ladder serves, in order;
@@ -226,10 +230,14 @@ def _ladders(kind: str, k: float, na: np.ndarray, nb: np.ndarray):
     squeezer conserves the difference d = na - nb, and its ladder
     |max(d, 0) + t, max(-d, 0) + t> is as long as its negative-binomial
     tail bound says (`_tms_length`) and certified by its edge mass, so
-    rows past it carry less than `_EDGE_MASS` and read as zero; it may
-    end before or after a caller's cutoff.  Sectors d and -d have the
-    same generator (off-diagonal sqrt((|d|+t+1)(t+1))), so both are read
-    from one decomposition (`_ladder_svd`) over the union of their inputs.
+    rows past it carry less than its edge and read as zero; it may end
+    before or after a caller's cutoff.  The edge is `_EDGE_MASS`, or, given
+    `weights` (each input's largest absolute weight) and the heaviest w of
+    both sectors, min(1e-18 / w, 1e-16): the output mass past n ladders is
+    then at most n * 1e-18, below the rounding of every reported value.
+    Sectors d and -d have the same generator (off-diagonal
+    sqrt((|d|+t+1)(t+1))), so both are read from one decomposition
+    (`_ladder_svd`) over the union of their inputs.
     """
     if kind == ATTENUATE:
         theta, total = math.acos(k), na + nb
@@ -239,8 +247,11 @@ def _ladders(kind: str, k: float, na: np.ndarray, nb: np.ndarray):
         return
     r, d, index = math.acosh(k), na - nb, np.minimum(na, nb)
     for a in np.unique(np.abs(d)):
-        idx = np.unique(index[np.abs(d) == a])
-        cols = _tms_columns(r, int(a), idx)
+        near = np.abs(d) == a
+        idx = np.unique(index[near])
+        w = None if weights is None else float(weights[near].max())
+        edge = _EDGE_MASS if w is None else _OUTPUT_MASS / w if w > 1e-2 else 1e-16
+        cols = _tms_columns(r, int(a), idx, edge)
         t = np.arange(cols.shape[0])
         for sector in dict.fromkeys((a, -a)):
             sel = np.flatnonzero(d == sector)
@@ -253,7 +264,8 @@ def _channel_outputs(kind: str, k: float, probs: np.ndarray, taus: np.ndarray) -
 
     probs (P, n_in+1) and taus (Q, k_anc+1) stack the input and ancilla
     photon-number laws.  Returns the output laws (P, Q, rows) over every
-    row a ladder reaches.
+    row a ladder reaches.  Squeezer ladders are sized to the weight they
+    carry: a joint input's largest input times largest ancilla probability.
     """
     P, Q = probs.shape[0], taus.shape[0]
     # every (n, kap) level pair with weight in some input and some ancilla
@@ -261,7 +273,8 @@ def _channel_outputs(kind: str, k: float, probs: np.ndarray, taus: np.ndarray) -
     live_kap = np.flatnonzero(np.any(taus != 0.0, axis=0))
     n, kap = np.repeat(live_n, live_kap.size), np.tile(live_kap, live_n.size)
     parts = []
-    for sel, m, _, cols in _ladders(kind, k, n, kap):
+    weights = probs[:, n].max(axis=0) * taus[:, kap].max(axis=0)
+    for sel, m, _, cols in _ladders(kind, k, n, kap, weights):
         # pair weights, one row per column and one entry per (input, ancilla)
         w = probs[:, n[sel]].T[:, :, None] * taus[:, kap[sel]].T[:, None, :]
         parts.append((m, (cols * cols) @ w.reshape(sel.size, P * Q)))
@@ -1073,14 +1086,18 @@ def _check_vacuum_optimality(rng: np.random.Generator, fast: bool) -> dict:
         ancilla_optimality_search(kind, k, s1, s2, max_level=6, samples=samples)
         for kind, k, s1, s2 in settings
     ]
+    # against the closed form: the search's input omits at most 1e-13
+    # (`_thermal_cutoff(s1, 1e-13)`), its ladders at most n * 1e-18, plus rounding
+    err = max(abs(r.vacuum_risk - risk_mod.geometric_l1(channel_s_tilde(r.kind, r.s1, r.k), r.s2)[0]) for r in reps)
     return _report(
-        all(rep.ok for rep in reps),
+        all(rep.ok for rep in reps) and err <= 1e-11,
         worst_margin=min(rep.margin for rep in reps),
         settings=[
             {"kind": rep.kind, "k": rep.k, "vacuum_risk": rep.vacuum_risk, "margin": rep.margin}
             for rep in reps
         ],
         samples=samples,
+        vacuum_risk_err=err,
     )
 
 

@@ -85,9 +85,10 @@ _CASE4_TAIL = 1e-18
 # rounding, so the rest of the series sums in closed form.
 _LOG_NEGLIGIBLE = -60.0 * math.log(2.0)
 
-# Case-4 erf sums over at most this many indices are summed term by
-# term; longer ones go through the panel rule on Craig's integral.
-_DIRECT_TERMS = 64
+# A case-4 erf run is summed term by term while it has at most this many
+# terms per panel the rule on Craig's integral would need (a panel's 8
+# nodes cost as much as 13.5 to 16 terms); longer runs take the panel rule.
+_DIRECT_TERMS = 14
 
 # Width of the Gauss-Legendre panels that integrate Craig's form of a
 # long erf run; at 0.5 they match a term-by-term sum to about 1e-15.
@@ -269,9 +270,13 @@ def _erf_sum(s: float, lo: int, hi: int, a: float, b: float) -> float:
     cover t in [0, 1] and u = log t >= 0, where the integrand is analytic
     in a fixed strip.
     """
-    if hi - lo <= _DIRECT_TERMS:
+    # past t^2 = 45 / y_min every term is below e^-45; at y_min -> 0 the
+    # integrand decays like e^-u, so u = 41 leaves under 2e-18
+    count, y_min = hi - lo, max(min(a + b * lo, a + b * (hi - 1)), 0.0)
+    u_end = min(0.5 * math.log(45.0 / y_min), 41.0) if y_min > 0.0 else 41.0
+    if count <= _DIRECT_TERMS * (2 + max(0, math.ceil(u_end / _PANEL_WIDTH))):
         return _erf_terms(s, lo, hi, a, b)
-    log_s, count = math.log(s), hi - lo
+    log_s = math.log(s)
     # (n log s, y_n = a + b n) at the run's ends, formed once, so that the
     # exponent n log s - y_n w of the largest term neither cancels nor
     # overflows; the max undoes rounding in a + b n
@@ -284,10 +289,6 @@ def _erf_sum(s: float, lo: int, hi: int, a: float, b: float) -> float:
         ratio = math.expm1(-abs(step) * count) / math.expm1(-abs(step)) if step else count
         return math.exp(n_log_s - y * w) * ratio / w
 
-    # past t^2 = 45 / y_min every term is below e^-45; at y_min -> 0 the
-    # integrand decays like e^-u, so u = 41 leaves under 2e-18
-    y_min = min(ends[0][1], ends[1][1])
-    u_end = min(0.5 * math.log(45.0 / y_min), 41.0) if y_min > 0.0 else 41.0
     total = _panels(integrand, 1.0)
     if u_end > 0.0:
         total += _panels(lambda u: integrand(math.exp(u)) * math.exp(u), u_end)

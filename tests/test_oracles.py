@@ -16,6 +16,7 @@ import sys
 import time
 import tracemalloc
 import types
+import warnings
 
 import mpmath
 import numpy as np
@@ -245,10 +246,10 @@ def test_half_size_svd_matches_the_tridiagonal_eigendecomposition(generator, len
     assert np.max(np.abs(got.T @ got - np.eye(len(cols)))) <= 1e-13
 
 
-def _edge_passes(r: float, a0: int, cols: list[int], length: int) -> bool:
+def _edge_passes(r: float, a0: int, cols: list[int], length: int, edge: float = oracles._EDGE_MASS) -> bool:
     j = np.arange(length - 1)
     evolved = oracles._ladder_evolve(np.sqrt((a0 + j + 1.0) * (j + 1.0)), r, cols)
-    return float(np.sum(evolved[-oracles._EDGE_ROWS :] ** 2)) <= oracles._EDGE_MASS
+    return float(np.sum(evolved[-oracles._EDGE_ROWS :] ** 2)) <= edge
 
 
 @pytest.mark.parametrize("k", [1.02, 1.1, 1.3, 1.5, 2.0, 3.0])
@@ -269,11 +270,11 @@ def test_squeezer_length_rule_needs_no_retry_and_wastes_little(monkeypatch, k):
             assert not _edge_passes(r, a0, cols, shorter), (a0, t_max, length)
 
 
-def _tms_length_gammaln(r: float, a0: int, t_max: int, n_cols: int) -> int:
+def _tms_length_gammaln(r: float, a0: int, t_max: int, n_cols: int, edge: float = oracles._EDGE_MASS) -> int:
     """The ladder-length rule with every log NB_n(t) from its own gammaln terms."""
     from scipy.special import gammaln
 
-    edge = math.log(oracles._EDGE_MASS)
+    edge = math.log(edge)
     log_q, log_1q = 2.0 * math.log(math.tanh(r)), -2.0 * math.log(math.cosh(r))
     q = math.exp(log_q)
     n = a0 + 2 * t_max
@@ -311,6 +312,98 @@ def test_ladder_length_matches_the_gammaln_rule():
         assert oracles._tms_length(r, a0, t_max, n_cols) == want, (k, a0, t_max, n_cols)
         checked += 1
     assert checked == 1200
+
+
+@pytest.mark.parametrize("edge", [1e-18, 1e-16])
+def test_weighted_ladder_length_matches_the_gammaln_rule(edge):
+    # the weighted edges of `_ladders` run through the same search
+    grid = itertools.product((1.02, 1.2, 1.3, 2.3), (0, 3, 14, 40), (0, 2, 13, 30), (1, 3, 14))
+    for k, a0, t_max, n_cols in grid:
+        r = math.acosh(k)
+        want = _tms_length_gammaln(r, a0, t_max, n_cols, edge)
+        assert oracles._tms_length(r, a0, t_max, n_cols, edge) == want, (k, a0, t_max, n_cols)
+        assert want <= oracles._tms_length(r, a0, t_max, n_cols)
+
+
+@pytest.mark.parametrize("edge", [1e-18, 1e-16])
+@pytest.mark.parametrize("k", [1.1, 1.3, 2.3])
+def test_weighted_length_rule_needs_no_retry_and_wastes_little(monkeypatch, k, edge):
+    r = math.acosh(k)
+    calls = _count_decompositions(monkeypatch)
+    for a0 in (0, 8, 40):
+        for t_max in (0, 2, 13):
+            cols = list(range(t_max + 1))
+            calls.clear()
+            length = _tms_columns(r, a0, cols, edge).shape[0]
+            assert calls == [length], (a0, t_max)
+            assert not _edge_passes(r, a0, cols, math.ceil(length / 1.5) - 1, edge), (a0, t_max, length)
+
+
+def test_light_sector_ladder_is_shorter_with_the_same_outputs():
+    # sector d = 8 of an amplifier at k = 1.3, its inputs weighing 1e-10:
+    # the weighted edge is 1e-16 instead of 1e-24, the unweighted ladder
+    # holds less than that past the weighted one, and the weighted row
+    # masses agree with the unweighted ladder's to 1e-16 absolute
+    k, na, nb = 1.3, np.array([8, 9, 10]), np.array([0, 1, 2])
+    weights = np.full(3, 1e-10)
+    [(_, _, _, light)] = oracles._ladders(AMPLIFY, k, na, nb, weights)
+    [(_, _, _, full)] = oracles._ladders(AMPLIFY, k, na, nb)
+    assert light.shape[0] < full.shape[0]
+    assert float(np.sum(full[light.shape[0] :] ** 2)) <= 1e-16
+    mass = np.zeros(full.shape)
+    mass[: light.shape[0]] = light * light * weights
+    assert np.max(np.abs(mass - full * full * weights)) <= 1e-16
+    # the joint inputs of a search (thermal input, pure ancilla levels
+    # 0..2): each weighted ladder drops at most 1e-18 of output mass
+    probs = thermal_state(0.7, 40).probs
+    n, kap = np.repeat(np.arange(41), 3), np.tile(np.arange(3), 41)
+    weights = probs[n]  # the largest ancilla probability is 1
+    pairs = zip(oracles._ladders(AMPLIFY, 2.3, n, kap, weights), oracles._ladders(AMPLIFY, 2.3, n, kap))
+    shorter = 0
+    for (sel, _, _, light), (_, _, _, full) in pairs:
+        assert light.shape[0] <= full.shape[0]
+        shorter += light.shape[0] < full.shape[0]
+        assert float(np.sum(weights[sel] * full[light.shape[0] :] ** 2)) <= 1e-18
+    assert shorter > 30
+
+
+@pytest.mark.parametrize("weight", [0.0, 1e-320, 1.0])
+def test_weighted_edge_is_finite_for_any_weight(monkeypatch, weight):
+    # a weight that is 0 or subnormal caps the edge at 1e-16, without a
+    # division by zero or a warning (tier-1 turns RuntimeWarning into an error)
+    edges = []
+    real = oracles._tms_columns
+
+    def spy(r, a0, idx, edge):
+        edges.append(edge)
+        return real(r, a0, idx, edge)
+
+    monkeypatch.setattr(oracles, "_tms_columns", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        list(oracles._ladders(AMPLIFY, 1.3, np.array([3, 0]), np.array([0, 3]), np.full(2, weight)))
+    assert len(edges) == 1 and math.isfinite(edges[0]) and 0.0 < edges[0] <= 1e-16
+    assert edges[0] == (1e-18 if weight == 1.0 else 1e-16)
+
+
+def test_oracle_checks_bands_need_no_retry(monkeypatch):
+    # the benchmark's amplifier bands: searches at k 1.28-1.32 on s1 near
+    # 0.04, simulations at k 1.18-1.22 with cutoff 16; each weighted ladder
+    # passes its edge test at the length the rule gives it
+    real, lengths = oracles._tms_columns, []
+
+    def checked(r, a0, idx, edge=oracles._EDGE_MASS):
+        cols = real(r, a0, idx, edge)
+        assert cols.shape[0] == oracles._tms_length(r, a0, max(idx), len(idx), edge), (r, a0, edge)
+        lengths.append(cols.shape[0])
+        return cols
+
+    monkeypatch.setattr(oracles, "_tms_columns", checked)
+    for k, s1 in itertools.product(np.linspace(1.28, 1.32, 5), (0.037, 0.04, 0.043)):
+        ancilla_optimality_search(AMPLIFY, k, s1, 0.5 * channel_s_tilde(AMPLIFY, s1, k), max_level=2, samples=10)
+    for k, s1 in itertools.product(np.linspace(1.18, 1.22, 5), (0.35, 0.45)):
+        simulate_channel(AMPLIFY, k, thermal_state(s1, 16), AncillaCandidate.vacuum(), 16)
+    assert len(lengths) > 100
 
 
 def test_high_gain_ladders_are_decomposed_once(monkeypatch):
@@ -908,6 +1001,25 @@ def test_case4_error_of_5e_11_fails_the_case4_bounds_check(monkeypatch, fast):
     report = oracles._check_case4_bounds(rng, fast)
     assert report["ok"] is False
     assert 1e-11 < report["worst_quadrature_gap"] <= 1e-10
+
+
+def test_vacuum_risk_error_of_1e_10_fails_the_optimality_check(monkeypatch):
+    # mutation check: every search's vacuum risk shifted by 1e-10 (its
+    # margin kept) must fail vacuum_optimality, which measures about 8e-14
+    # against the closed form
+    true_fn = oracles.ancilla_optimality_search
+    rng = np.random.default_rng(0)
+    report = oracles._check_vacuum_optimality(rng, fast=True)
+    assert report["ok"] is True and report["vacuum_risk_err"] <= 1e-12
+
+    def shifted(*args, **kwargs):
+        rep = true_fn(*args, **kwargs)
+        return dataclasses.replace(rep, vacuum_risk=rep.vacuum_risk + 1e-10)
+
+    monkeypatch.setattr(oracles, "ancilla_optimality_search", shifted)
+    report = oracles._check_vacuum_optimality(rng, fast=True)
+    assert report["ok"] is False
+    assert 1e-11 < report["vacuum_risk_err"] <= 2e-10
 
 
 @pytest.mark.parametrize("fast", [True, False])

@@ -376,16 +376,33 @@ def _seeded_runs(count: int):
         yield 1.0 - 10 ** rng.uniform(-6, -0.5), lo, lo + n, a, b
 
 
-def test_erf_sum_panel_rule_matches_term_by_term_sum():
+def test_erf_sum_panel_rule_matches_term_by_term_sum(monkeypatch):
+    # every run takes the panel rule, however short for its y range
+    monkeypatch.setattr(risk_mod, "_DIRECT_TERMS", 0)
     runs = list(_seeded_runs(60))
     # one run that crosses y = 36, where erf rounds to 1
     runs.append((1.0 - 1e-4, 0, 20_000, 1e-3, 50.0 / 20_000))
     assert any(a + b * (hi - 1) > 36.0 > a + b * lo for _, lo, hi, a, b in runs if b > 0)
     assert {math.copysign(1.0, b) for *_, b in runs} == {1.0, -1.0}
     for s, lo, hi, a, b in runs:
-        assert hi - lo > risk_mod._DIRECT_TERMS
         want = risk_mod._erf_terms(s, lo, hi, a, b)
         assert abs(risk_mod._erf_sum(s, lo, hi, a, b) - want) < 1e-14, (s, lo, hi, a, b)
+
+
+# two panels on t in [0, 1], then ceil(ln(45 / y_min)) on u, 82 at y_min = 0
+@pytest.mark.parametrize("y_min, panels", [(1.0, 6), (1e-8, 25), (0.0, 84), (50.0, 2)])
+def test_erf_sum_takes_the_panel_rule_past_its_cost(monkeypatch, y_min, panels):
+    # a run goes term by term up to _DIRECT_TERMS terms per panel the rule
+    # would use, and no further
+    calls = []
+    panel_fn = risk_mod._panels
+    monkeypatch.setattr(risk_mod, "_panels", lambda f, end: calls.append(end) or panel_fn(f, end))
+    per_panel = risk_mod._DIRECT_TERMS
+    for count, want in ((per_panel * panels, 0), (per_panel * panels + 1, 1 + (panels > 2))):
+        calls.clear()
+        got = risk_mod._erf_sum(0.8, 3, 3 + count, y_min - 0.01 * 3, 0.01)
+        assert len(calls) == want, (count, calls)
+        assert abs(got - risk_mod._erf_terms(0.8, 3, 3 + count, y_min - 0.01 * 3, 0.01)) < 1e-14
 
 
 @given(
